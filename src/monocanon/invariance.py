@@ -14,8 +14,8 @@ from dataclasses import dataclass, field as dataclass_field
 from .canonical import canonicalize, shift_transform
 from .ideals import Factor
 from .koszul import FieldChoice, Rationals, depth
-from .limits import ResourceError
-from .sdepth import DEFAULT_BOX_CAP, DEFAULT_NODE_BUDGET, sdepth, verify_decomposition
+from .limits import DEFAULT_BOX_CAP, ResourceError
+from .sdepth import DEFAULT_NODE_BUDGET, sdepth, verify_decomposition
 
 PASS = "PASS"
 FAIL = "FAIL"

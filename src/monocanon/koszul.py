@@ -31,9 +31,8 @@ from fractions import Fraction
 from itertools import product
 
 from .ideals import Factor
-from .limits import BoxCapError, check_deadline
+from .limits import DEFAULT_BOX_CAP, BoxCapError, check_deadline
 
-DEFAULT_BOX_CAP = 10**8
 DEFAULT_PRIME = 32003
 
 

@@ -2,6 +2,9 @@
 
 import time
 
+# Largest bounding box [0, g], in cells, that the poset and homology engines build.
+DEFAULT_BOX_CAP = 10**8
+
 
 class ResourceError(RuntimeError):
     """A configured limit was hit; the answer is unknown rather than negative."""

@@ -5,12 +5,19 @@ The characteristic poset of a factor I/J is the set of multidegrees a with
 generator exponents of I and J.  A partition of it into intervals [a, b]
 encodes a Stanley decomposition whose depth is the minimum of
 rho(b) = #{j : b_j = g_j} over the interval tops; the Stanley depth of I/J
-is the best achievable minimum over all interval partitions.
+is the best achievable minimum over all interval partitions
+(Herzog-Vladoiu-Zheng, J. Algebra 2009).
 
-The decision procedure exists_partition is a complete backtracking search:
-it always extends the lexicographically smallest uncovered element and
-branches over every admissible top, biggest intervals first.  No heuristic
-cuts are applied beyond sound ones, so sdepth below is exact.
+exists_partition decides one level d as an exact cover problem.  Its rows
+come from a catalogue built once per poset: for every element a, each
+interval [a, b] inside the element set whose top has every b_j in
+{a_j, g_j}.  Elements are numbered in lex order; a row stores the elements
+it covers as a bitmask, and an element stores the rows that contain it as a
+bitmask.  The search is Algorithm X on those bitsets (Knuth, Dancing Links,
+2000): it branches on the uncovered element with the fewest rows still
+compatible with the choices made so far, biggest intervals first.  The
+search is complete and the catalogue loses no partition, so sdepth below is
+exact.
 """
 
 from __future__ import annotations
@@ -19,10 +26,9 @@ import itertools
 from dataclasses import dataclass
 
 from .ideals import DimensionError, Factor, Monomial, deglex_key
-from .limits import BoxCapError, SearchBudgetError, check_deadline
+from .limits import DEFAULT_BOX_CAP, BoxCapError, SearchBudgetError, check_deadline
 from .parse import format_monomial
 
-DEFAULT_BOX_CAP = 10**8
 DEFAULT_NODE_BUDGET = 10**7
 
 
@@ -40,11 +46,12 @@ class CharacteristicPoset:
 
     Box cells are numbered lexicographically with the last coordinate
     running fastest, so numeric order of cell indices is lex order of
-    multidegrees and bit i of any mask refers to cell i.
+    multidegrees and bit i of elem_mask refers to cell i.  coords lists the
+    elements in the same order.
     """
 
     __slots__ = ("n", "g", "dims", "strides", "volume", "coords", "elem_mask",
-                 "_coord_by_index")
+                 "_catalogue")
 
     def __init__(self, factor: Factor, box_cap: int = DEFAULT_BOX_CAP, pad: int = 0):
         g = tuple(e + pad for e in factor.join_exponents())
@@ -73,31 +80,14 @@ class CharacteristicPoset:
         self.volume = volume
         self.coords = tuple(coords)
         self.elem_mask = mask
-        self._coord_by_index = {
-            sum(e * s for e, s in zip(a, strides)): a for a in coords
-        }
+        self._catalogue = None  # built by the first exists_partition call
 
     def index_of(self, a) -> int:
         return sum(e * s for e, s in zip(a, self.strides))
 
-    def coord_of(self, idx: int) -> Monomial:
-        return self._coord_by_index[idx]
-
-    def interval_mask(self, a, b) -> int:
-        """Bitmask of every box cell in the interval [a, b]."""
-        n = self.n
-        run = (1 << (b[-1] - a[-1] + 1)) - 1
-        if n == 1:
-            return run << a[0]
-        strides = self.strides
-        last = a[-1]
-        mask = 0
-        for prefix in itertools.product(*(range(a[j], b[j] + 1) for j in range(n - 1))):
-            mask |= run << (sum(p * s for p, s in zip(prefix, strides)) + last)
-        return mask
-
     def covered_interval_mask(self, a, b, within: int):
-        """Mask of [a, b] if every cell is set in `within`, else None (early exit)."""
+        """Box-cell mask of [a, b] if every cell is set in `within`, else None
+        (early exit)."""
         n = self.n
         run = (1 << (b[-1] - a[-1] + 1)) - 1
         if n == 1:
@@ -129,24 +119,120 @@ class IntervalPartition:
         return [[list(a), list(b)] for a, b in self.intervals]
 
 
-def _reaches(poset: CharacteristicPoset, a, d: int) -> bool:
-    """Can some interval inside the element set start at a and reach rho >= d?"""
-    g = poset.g
-    free = sum(1 for x, y in zip(a, g) if x == y)
-    need = d - free
-    if need <= 0:
-        return True
-    open_axes = [j for j in range(poset.n) if a[j] < g[j]]
-    if need > len(open_axes):
-        return False
-    em = poset.elem_mask
-    for S in itertools.combinations(open_axes, need):
-        b = list(a)
-        for j in S:
-            b[j] = g[j]
-        if poset.covered_interval_mask(a, tuple(b), em) is not None:
-            return True
-    return False
+def _bits(x: int):
+    """Positions of the set bits of x, lowest first."""
+    s = bin(x)[:1:-1]
+    i = s.find("1")
+    while i >= 0:
+        yield i
+        i = s.find("1", i + 1)
+
+
+def _mask_of(positions, nbits: int) -> int:
+    """The int with bit p set for each p in positions, all below nbits."""
+    buf = bytearray((nbits + 7) >> 3)
+    for p in positions:
+        buf[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(buf, "little")
+
+
+# Restricting tops to b_j in {a_j, g_j} loses no partition.  Take any
+# interval [a, b] of a partition and a coordinate j with a_j <= b_j < g_j.
+# Split [a, b] into the slices with x_j = t for t = a_j, ..., b_j.  Each
+# slice has coordinate j fixed, its top has the same rho as b (coordinate j
+# was off the bound before and stays off it), and it lies inside [a, b], so
+# inside the element set.  Splitting along every such j leaves intervals
+# whose tops have each coordinate either fixed at the bottom or on g.
+class _Catalogue:
+    """The rows of the exact cover: every interval [a, b] inside the element
+    set with each b_j in {a_j, g_j}.
+
+    Row r is [coords[bottom[r]], top[r]]; rows are numbered in lex order of
+    their bottoms.  mask[r] has bit e for each element e (numbered as in
+    coords) that the row covers, rows_with[e] has bit r for each row that
+    covers element e, and conflict[r], filled on first use, has a bit for
+    every row that meets row r.  reach is the largest d for which every
+    element is the bottom of some row with rho >= d.
+    """
+
+    __slots__ = ("bottom", "top", "rho", "mask", "size", "rows_with",
+                 "conflict", "reach")
+
+    def __init__(self, poset: CharacteristicPoset, deadline: float | None):
+        n, g, coords = poset.n, poset.g, poset.coords
+        index = {a: i for i, a in enumerate(coords)}
+        below: list[list] = [[None] * n for _ in coords]  # below[e][j]: e - e_j
+        # tops[i] maps each top b of element i's rows to (mask, rho(b)).
+        # [a, b'] with b'_j = g_j > a_j = b_j is [a, b] plus [a + e_j, b'],
+        # a row of a lex-later element, so rows are built from the last
+        # element down, each only from a smaller row that fits (Apriori).
+        tops: list[dict] = [None] * len(coords)
+        for i in range(len(coords) - 1, -1, -1):
+            if not i % 64:
+                check_deadline(deadline)
+            a = coords[i]
+            up = [index.get(a[:j] + (a[j] + 1,) + a[j + 1:]) for j in range(n)]
+            for j, k in enumerate(up):
+                if k is not None:
+                    below[k][j] = i
+            rows = {a: (1 << i, sum(1 for x, y in zip(a, g) if x == y))}
+            grow = [(a, 0)]  # (top, first axis that may still be raised)
+            for b, start in grow:
+                m, r = rows[b]
+                for j in range(start, n):
+                    k = up[j]
+                    if k is None:
+                        continue
+                    raised = b[:j] + (g[j],) + b[j + 1:]
+                    above = tops[k].get(raised)
+                    if above is not None:
+                        rows[raised] = (m | above[0], r + 1)
+                        grow.append((raised, j + 1))
+            tops[i] = rows
+
+        self.bottom, self.top, self.rho, self.mask = [], [], [], []
+        first = [0] * (len(coords) + 1)
+        reach = n
+        for i, rows in enumerate(tops):
+            if not i % 64:
+                check_deadline(deadline)
+            for b, (m, r) in rows.items():
+                self.bottom.append(i)
+                self.top.append(b)
+                self.rho.append(r)
+                self.mask.append(m)
+            first[i + 1] = len(self.top)
+            reach = min(reach, self.rho[-1])  # rows grow one raised axis at a time
+        self.size = [m.bit_count() for m in self.mask]
+        # A row [a, b] with a_j < e_j covers e iff it covers e - e_j and
+        # b_j = g_j, so rows_with[e] is e's own rows plus, for each j, the
+        # rows of e - e_j that are raised on axis j.
+        on_bound = [
+            _mask_of((r for r, b in enumerate(self.top) if b[j] == g[j]), len(self.top))
+            for j in range(n)
+        ]
+        self.rows_with = []
+        for e in range(len(coords)):
+            if not e % 64:
+                check_deadline(deadline)
+            w = ((1 << (first[e + 1] - first[e])) - 1) << first[e]
+            for k, bound in zip(below[e], on_bound):
+                if k is not None:
+                    w |= self.rows_with[k] & bound
+            self.rows_with.append(w)
+        self.conflict = [None] * len(self.top)
+        self.reach = reach
+
+    def conflicts(self, r: int, deadline: float | None) -> int:
+        c = self.conflict[r]
+        if c is None:
+            c = 0
+            for k, e in enumerate(_bits(self.mask[r])):
+                if not k % 256:
+                    check_deadline(deadline)
+                c |= self.rows_with[e]
+            self.conflict[r] = c
+        return c
 
 
 def exists_partition(poset: CharacteristicPoset, d: int,
@@ -154,50 +240,49 @@ def exists_partition(poset: CharacteristicPoset, d: int,
                      deadline: float | None = None) -> IntervalPartition | None:
     """A partition whose interval tops all have rho >= d, or None if none exists.
 
-    Complete depth-first search.  A node is one candidate interval applied;
+    Builds the poset's interval catalogue on first use and keeps it on the
+    poset.  A level d above the catalogue's reach (some element starts no
+    interval with rho >= d) is refuted without search.  Otherwise this is a
+    complete depth-first exact cover search over the catalogue rows with
+    rho >= d: it branches on the uncovered element with the fewest live
+    rows, biggest rows first.  A node is one candidate interval applied;
     exceeding node_budget raises SearchBudgetError and a passed deadline
     raises TimeLimitError, both distinct from the None answer.
     """
-    n, g = poset.n, poset.g
+    n = poset.n
     if not 0 <= d <= n:
         raise ValueError(f"interval-top bound d={d} outside 0..{n}")
-    if poset.elem_mask == 0:
+    if not poset.coords:
         return IntervalPartition(())
-    # sound static prune: each element on its own must reach d bound coordinates
-    for i, a in enumerate(poset.coords):
-        if deadline is not None and not i % 16:
-            check_deadline(deadline)
-        if not _reaches(poset, a, d):
-            return None
+    cat = poset._catalogue
+    if cat is None:
+        cat = _Catalogue(poset, deadline)
+        poset._catalogue = cat
+    if d > cat.reach:
+        return None
+    rows_with, size = cat.rows_with, cat.size
 
-    nodes = 0
-
-    def make_frame(uncovered: int):
-        low_idx = (uncovered & -uncovered).bit_length() - 1
-        a = poset.coord_of(low_idx)
-        cands = []
-        seen = 0
-        for b in itertools.product(*(range(a[j], g[j] + 1) for j in range(n))):
-            seen += 1
-            if deadline is not None and not seen % 64:
+    def candidates(uncovered: int, live: int) -> list[int]:
+        """Live rows of the uncovered element with the fewest, biggest first."""
+        best, fewest = 0, None
+        for k, e in enumerate(_bits(uncovered)):
+            if deadline is not None and not k % 64:
                 check_deadline(deadline)
-            r = 0
-            for x, y in zip(b, g):
-                if x == y:
-                    r += 1
-            if r < d:
-                continue
-            mask = poset.covered_interval_mask(a, b, uncovered)
-            if mask is not None:
-                cands.append((-mask.bit_count(), b, mask))
-        cands.sort()  # biggest intervals first, then lex on the top
-        return [uncovered, a, cands, 0]
+            count = (rows_with[e] & live).bit_count()
+            if fewest is None or count < fewest:
+                best, fewest = e, count
+                if count <= 1:
+                    break
+        return sorted(_bits(rows_with[best] & live), key=lambda r: -size[r])
 
-    stack = [make_frame(poset.elem_mask)]
-    chosen: list[tuple[Monomial, Monomial]] = []
+    uncovered = (1 << len(poset.coords)) - 1
+    live = _mask_of((r for r, x in enumerate(cat.rho) if x >= d), len(cat.rho))
+    stack = [[uncovered, live, candidates(uncovered, live), 0]]
+    chosen: list[int] = []
+    nodes = 0
     while stack:
         frame = stack[-1]
-        uncovered, a, cands, i = frame
+        uncovered, live, cands, i = frame
         if i >= len(cands):
             stack.pop()
             if stack:
@@ -211,12 +296,15 @@ def exists_partition(poset: CharacteristicPoset, d: int,
             )
         if deadline is not None and not nodes % 256:
             check_deadline(deadline)
-        _, b, mask = cands[i]
-        remaining = uncovered & ~mask
-        chosen.append((a, b))
+        r = cands[i]
+        remaining = uncovered & ~cat.mask[r]
+        chosen.append(r)
         if remaining == 0:
-            return IntervalPartition(tuple(chosen))
-        stack.append(make_frame(remaining))
+            return IntervalPartition(tuple(
+                (poset.coords[cat.bottom[c]], cat.top[c]) for c in chosen
+            ))
+        live &= ~cat.conflicts(r, deadline)
+        stack.append([remaining, live, candidates(remaining, live), 0])
     return None
 
 

@@ -26,6 +26,14 @@ from monocanon import (
 )
 
 
+def oracle_feasible(F, d) -> bool:
+    """Does the oracle find a level-d partition among all intervals, with
+    arbitrary tops?"""
+    g, pts = oracle.members(F)
+    rows = [cells for _, _, cells in oracle._interval_rows(g, pts, d)]
+    return oracle.exact_cover_exists(pts, rows)
+
+
 class TestRho:
     def test_top_of_the_box(self):
         assert rho((2, 5, 1), (2, 5, 1)) == 3
@@ -87,7 +95,8 @@ class TestCharPoset:
             1 << P.index_of(c)
             for c in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(a, b)))
         )
-        assert P.interval_mask(a, b) == expected
+        box = (1 << P.volume) - 1
+        assert P.covered_interval_mask(a, b, box) == expected
         assert P.covered_interval_mask(a, b, expected) == expected
         assert P.covered_interval_mask(a, b, expected >> 1) is None
 
@@ -119,6 +128,34 @@ class TestExistsPartition:
         P = char_poset(fac("x, y", "x, y"), pad=8)
         with pytest.raises(TimeLimitError):
             exists_partition(P, 1, deadline=time.monotonic() - 1.0)
+
+    def test_deadline_overshoot_on_a_raw_box(self):
+        # 7450 elements in a 262,701-cell box; the d=1 search alone runs for
+        # seconds, so the deadline fires in the catalogue build or the search
+        P = char_poset(fac("x, y, z", "x^100*y*z, x^50*y*z^50, x^50*y^50*z"))
+        start = time.monotonic()
+        with pytest.raises(TimeLimitError):
+            exists_partition(P, 1, deadline=start + 0.5)
+        assert time.monotonic() - start < 2.0
+
+    def test_deadline_during_catalogue_build_leaves_no_catalogue(self):
+        F = fac("x, y, z", "x*y, y*z", "x*y*z^2")
+        P = char_poset(F)
+        with pytest.raises(TimeLimitError):
+            exists_partition(P, 1, deadline=time.monotonic() - 1.0)
+        for d in range(P.n + 1):
+            assert (exists_partition(P, d) is not None) == oracle_feasible(F, d)
+
+    @given(helpers.factors(nmax=3, emax=2))
+    def test_every_level_matches_oracle(self, F):
+        # the oracle's rows are all intervals with arbitrary tops, so this
+        # checks that tops in {a_j, g_j} lose no partition
+        P = char_poset(F)
+        for d in range(P.n + 1):
+            part = exists_partition(P, d)
+            assert (part is not None) == oracle_feasible(F, d)
+            if part is not None:
+                assert verify_decomposition(F, part, d)
 
     @given(helpers.factors(nmax=3, emax=2))
     def test_decision_is_monotone_in_d(self, F):
@@ -160,6 +197,19 @@ class TestSdepth:
             fac("x, y", "x^2, x*y", "x^3, x^2*y^2"),
         ]:
             assert sdepth(F)[0] == oracle.oracle_sdepth(F)
+
+    @pytest.mark.parametrize("n, k, expected", [(6, 1, 3), (6, 3, 3), (7, 1, 4)])
+    def test_squarefree_veronese_ladder(self, n, k, expected):
+        # m_n = V(n, 1); these exhausted a 25000-node level budget under the
+        # earlier backtracker
+        gens = ", ".join(
+            "*".join(f"x{i}" for i in S)
+            for S in itertools.combinations(range(1, n + 1), k)
+        )
+        F = fac(", ".join(f"x{i}" for i in range(1, n + 1)), gens)
+        d, cert = sdepth(F, deadline=time.monotonic() + 20.0)
+        assert d == expected
+        assert verify_decomposition(F, cert, d)
 
     @given(helpers.factors(nmax=2, emax=3))
     def test_matches_oracle(self, F):
