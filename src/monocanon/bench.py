@@ -8,7 +8,6 @@ both finished; a report that violates that is an error, not data.
 
 from __future__ import annotations
 
-import os
 import statistics
 import time
 from dataclasses import asdict, dataclass
@@ -98,12 +97,11 @@ def _box_volume(F: Factor) -> int:
 
 
 def run_bench(F: Factor, names, *, label: str = "", repeat: int = 1,
-              timeout: float | None = None, parallel: bool = False,
+              timeout: float | None = None,
               field: FieldChoice = Rationals()) -> BenchReport:
     canonical = canonicalize(F)
     raw_volume = _box_volume(F)
     canonical_volume = _box_volume(canonical)
-    workers = os.cpu_count() if parallel else None
 
     metrics: dict[str, MetricBench] = {}
     plans = {
@@ -112,8 +110,8 @@ def run_bench(F: Factor, names, *, label: str = "", repeat: int = 1,
             lambda dl: sdepth(canonical, deadline=dl)[0],
         ),
         "depth": (
-            lambda dl: depth(F, field, deadline=dl, workers=workers),
-            lambda dl: depth(canonical, field, deadline=dl, workers=workers),
+            lambda dl: depth(F, field, deadline=dl),
+            lambda dl: depth(canonical, field, deadline=dl),
         ),
     }
     for name, (raw_fn, canonical_fn) in plans.items():

@@ -195,7 +195,6 @@ def cmd_bench(args) -> int:
         label=args.file,
         repeat=args.repeat,
         timeout=args.timeout,
-        parallel=args.parallel,
     )
     lines = [
         f"raw form:        {report.raw_form}",
@@ -235,7 +234,7 @@ def build_parser() -> _Parser:
     p.add_argument("--no-canon", action="store_true", help="skip canonicalization")
     p.add_argument("--field", default="q", help="q (rationals) or p<prime>")
     p.add_argument("--trace", action="store_true",
-                   help="per-slice records on stderr")
+                   help="one JSON record on stderr per scanned lcm-lattice slice")
     p = add("sdepth", cmd_sdepth, "exact Stanley depth with certificate")
     p.add_argument("file")
     p.add_argument("--no-canon", action="store_true", help="skip canonicalization")
@@ -246,7 +245,6 @@ def build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--repeat", type=int, default=1)
     p.add_argument("--timeout", type=float, default=None, help="seconds per run")
-    p.add_argument("--parallel", action="store_true")
     return parser
 
 

@@ -8,11 +8,22 @@ indicator vector), and boundary
     d(e_F) = sum over j in F of sign(j, F) * e_{F minus j},
 
 sign(j, F) = (-1)^(position of j in the ascending order of F), entries
-dropped when the target subset is absent.  Homology outside the box
-[0, g] vanishes (g the join of all generator exponents), so scanning the
-box is enough:
+dropped when the target subset is absent.  Then
 
     depth(M) = n - max{ i : H_i of some slice is nonzero }.
+
+Only the lcm lattices of G(I) and G(J) are scanned: the lcms of nonempty
+subsets of the minimal generators of I, and of J.  Koszul homology is
+Tor^S(K, -).  In each multidegree a, the long exact sequence of
+0 -> J -> I -> I/J -> 0 places Tor_i(I/J)_a between Tor_i(I)_a and
+Tor_{i-1}(J)_a, so Tor_i(I/J)_a can be nonzero only where one of those is.
+The Taylor resolution of a monomial ideal has its free generators in the
+degrees of the lcms of generator subsets, so Tor of I (of J) vanishes off
+the lcm lattice of G(I) (of G(J)); see Gasharov-Peeva-Welker, The
+lcm-lattice in monomial resolutions, Math. Res. Lett. 1999.  Every lattice
+point lies in the box [0, g] (g the join of all generator exponents), and
+there are at most as many as the cells of the canonical form's box, so the
+scan does not grow with the size of the exponents.
 
 Ranks are computed exactly: fraction-free Bareiss elimination on arbitrary
 precision integers over the rationals, modular elimination over a prime
@@ -25,10 +36,8 @@ wrong data.
 from __future__ import annotations
 
 import math
-from concurrent import futures
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .ideals import Factor
 from .limits import DEFAULT_BOX_CAP, BoxCapError, check_deadline
@@ -235,7 +244,8 @@ def homology_profile(n: int, present_mask: int, field: FieldChoice = Rationals()
     return tuple(len(by_size[i]) - ranks[i] - ranks[i + 1] for i in range(n + 1))
 
 
-def _present_mask(F: Factor, a, n: int, positions) -> int:
+def _present_mask(member, a, n: int, positions) -> int:
+    """Bit fm set iff a - eps_fm is a nonnegative multidegree that member accepts."""
     pm = 0
     for fm in range(1 << n):
         b = list(a)
@@ -245,7 +255,7 @@ def _present_mask(F: Factor, a, n: int, positions) -> int:
             if b[j] < 0:
                 ok = False
                 break
-        if ok and F.support(tuple(b)):
+        if ok and member(tuple(b)):
             pm |= 1 << fm
     return pm
 
@@ -258,55 +268,53 @@ def homology_dims(F: Factor, a, field: FieldChoice = Rationals()) -> tuple[int, 
         raise ValueError(f"multidegree {a} has {len(a)} entries, expected {n}")
     if any(e < 0 for e in a):
         raise ValueError(f"multidegree {a} has a negative entry")
-    return homology_profile(n, _present_mask(F, a, n, _bit_positions(n)), field)
+    return homology_profile(n, _present_mask(F.support, a, n, _bit_positions(n)), field)
 
 
-def _supp_and_candidates(F: Factor, g, deadline):
+def _lcm_lattice(gens, deadline) -> set:
+    """lcms of the nonempty subsets of gens, closed up one generator at a time."""
+    check_deadline(deadline)
+    lattice: set = set()
+    products = 0
+    for m in gens:
+        new = {m}
+        for l in lattice:
+            products += 1
+            if deadline is not None and not products % 4096:
+                check_deadline(deadline)
+            new.add(tuple(map(max, m, l)))
+        lattice |= new
+    return lattice
+
+
+def _nonzero_homology(F: Factor, field, pad, box_cap, deadline,
+                      trace=None) -> set[int]:
+    """Indices i with H_i nonzero in some slice of the lcm lattices of G(I), G(J)."""
+    g = tuple(e + pad for e in F.join_exponents())
+    volume = 1
+    for e in g:
+        volume *= e + 1
+    if volume > box_cap:
+        raise BoxCapError(f"Koszul box has {volume} cells, over the cap of {box_cap}")
+    points = sorted(_lcm_lattice(F.I.gens, deadline) | _lcm_lattice(F.J.gens, deadline))
     n = F.n
     positions = _bit_positions(n)
-    supp = set()
-    count = 0
-    for a in product(*(range(e + 1) for e in g)):
-        count += 1
-        if deadline is not None and not count % 4096:
-            check_deadline(deadline)
-        if F.support(a):
-            supp.add(a)
-    cands = set()
-    for s in supp:
-        for pos in positions:
-            a = list(s)
-            ok = True
-            for j in pos:
-                a[j] += 1
-                if a[j] > g[j]:
-                    ok = False
-                    break
-            if ok:
-                cands.add(tuple(a))
-    return supp, sorted(cands)
+    seen: dict = {}
 
+    def member(b):
+        hit = seen.get(b)
+        if hit is None:
+            hit = seen[b] = F.support(b)
+        return hit
 
-def _scan_chunk(n, supp, cands, field, deadline=None, trace=None):
-    positions = _bit_positions(n)
     full = (1 << (1 << n)) - 1
     zero_profile = (0,) * (n + 1)
     cache: dict[int, tuple[int, ...]] = {}
     nz: set[int] = set()
-    for count, a in enumerate(cands):
+    for count, a in enumerate(points):
         if deadline is not None and not (count + 1) % 512:
             check_deadline(deadline)
-        pm = 0
-        for fm in range(1 << n):
-            b = list(a)
-            ok = True
-            for j in positions[fm]:
-                b[j] -= 1
-                if b[j] < 0:
-                    ok = False
-                    break
-            if ok and tuple(b) in supp:
-                pm |= 1 << fm
+        pm = _present_mask(member, a, n, positions)
         if pm == 0:
             continue
         if pm == full:
@@ -326,53 +334,9 @@ def _scan_chunk(n, supp, cands, field, deadline=None, trace=None):
     return nz
 
 
-_PAR: dict = {}
-
-
-def _par_init(n, supp, field):
-    _PAR["args"] = (n, supp, field)
-
-
-def _par_scan(chunk):
-    n, supp, field = _PAR["args"]
-    return _scan_chunk(n, supp, chunk, field)
-
-
-def _nonzero_homology(F: Factor, field, pad, box_cap, deadline, workers,
-                      trace=None) -> set[int]:
-    g = tuple(e + pad for e in F.join_exponents())
-    volume = 1
-    for e in g:
-        volume *= e + 1
-    if volume > box_cap:
-        raise BoxCapError(f"Koszul box has {volume} cells, over the cap of {box_cap}")
-    supp, cands = _supp_and_candidates(F, g, deadline)
-    if workers and workers > 1 and trace is None and len(cands) > 256:
-        step = (len(cands) + workers * 4 - 1) // (workers * 4)
-        chunks = [cands[i:i + step] for i in range(0, len(cands), step)]
-        with futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_par_init,
-            initargs=(F.n, supp, field),
-        ) as pool:
-            nz: set[int] = set()
-            for part in pool.map(_par_scan, chunks):
-                nz |= part
-            return nz
-    return _scan_chunk(F.n, supp, cands, field, deadline, trace)
-
-
-def depth(F: Factor, field: FieldChoice = Rationals(), *, pad: int = 0,
-          box_cap: int = DEFAULT_BOX_CAP, deadline: float | None = None,
-          workers: int | None = None, trace=None) -> int:
-    """depth of I/J: n minus the top nonvanishing Koszul homology index.
-
-    pad enlarges the scanned box from [0, g] to [0, g + pad]; the result
-    must not change, which tests use as an oracle.  trace, if given, is
-    called with (multidegree, present-subset count, homology dims) for every
-    scanned slice.  The homology profile is checked to be gap-free before
-    returning.
-    """
-    nz = _nonzero_homology(F, field, pad, box_cap, deadline, workers, trace)
+def _top_index(nz: set[int]) -> int:
+    """The largest index in nz, after checking nz is nonempty and gap-free
+    (Koszul homology is rigid)."""
     if not nz:
         raise RuntimeError("internal error: no nonzero Koszul homology found")
     q = max(nz)
@@ -380,15 +344,28 @@ def depth(F: Factor, field: FieldChoice = Rationals(), *, pad: int = 0,
         raise RuntimeError(
             f"internal error: rigidity violated, nonzero homology at {sorted(nz)}"
         )
-    return F.n - q
+    return q
+
+
+def depth(F: Factor, field: FieldChoice = Rationals(), *, pad: int = 0,
+          box_cap: int = DEFAULT_BOX_CAP, deadline: float | None = None,
+          trace=None) -> int:
+    """depth of I/J: n minus the top nonvanishing Koszul homology index.
+
+    Only the lcm lattices of G(I) and G(J) are scanned (see the module
+    docstring), so the cost follows the number of distinct generator lcms,
+    not the size of the exponents.  pad enlarges the box [0, g] to
+    [0, g + pad] for the box_cap check only: every lattice point already
+    lies in [0, g], so padding never changes the scan or the answer.  trace,
+    if given, is called with (multidegree, present-subset count, homology
+    dims) for every lattice slice with a present subset.  The homology
+    profile is checked to be gap-free before returning.
+    """
+    return F.n - _top_index(_nonzero_homology(F, field, pad, box_cap, deadline, trace))
 
 
 def pd(F: Factor, field: FieldChoice = Rationals(), *, pad: int = 0,
        box_cap: int = DEFAULT_BOX_CAP) -> int:
-    """Projective dimension: the top nonvanishing index, cross-checked
-    against n - depth."""
-    nz = _nonzero_homology(F, field, pad, box_cap, None, None)
-    q = max(nz)
-    if q != F.n - depth(F, field, pad=pad, box_cap=box_cap):
-        raise RuntimeError("internal error: pd and n - depth disagree")
-    return q
+    """Projective dimension: the top nonvanishing Koszul homology index,
+    n - depth, from the same gap-free check as depth."""
+    return _top_index(_nonzero_homology(F, field, pad, box_cap, None))

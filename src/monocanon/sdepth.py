@@ -53,7 +53,8 @@ class CharacteristicPoset:
     __slots__ = ("n", "g", "dims", "strides", "volume", "coords", "elem_mask",
                  "_catalogue")
 
-    def __init__(self, factor: Factor, box_cap: int = DEFAULT_BOX_CAP, pad: int = 0):
+    def __init__(self, factor: Factor, box_cap: int = DEFAULT_BOX_CAP, pad: int = 0,
+                 deadline: float | None = None):
         g = tuple(e + pad for e in factor.join_exponents())
         dims = tuple(e + 1 for e in g)
         volume = 1
@@ -70,6 +71,8 @@ class CharacteristicPoset:
         coords: list[Monomial] = []
         mask = 0
         for idx, a in enumerate(itertools.product(*(range(d) for d in dims))):
+            if deadline is not None and not idx % 4096:
+                check_deadline(deadline)
             if factor.support(a):
                 coords.append(a)
                 mask |= 1 << idx
@@ -104,9 +107,11 @@ class CharacteristicPoset:
         return mask
 
 
-def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP, pad: int = 0) -> CharacteristicPoset:
-    """Build the characteristic poset of F, refusing boxes over box_cap cells."""
-    return CharacteristicPoset(F, box_cap=box_cap, pad=pad)
+def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP, pad: int = 0,
+               deadline: float | None = None) -> CharacteristicPoset:
+    """Build the characteristic poset of F, refusing boxes over box_cap cells
+    and raising TimeLimitError once deadline passes."""
+    return CharacteristicPoset(F, box_cap=box_cap, pad=pad, deadline=deadline)
 
 
 @dataclass(frozen=True)
@@ -317,7 +322,7 @@ def sdepth(F: Factor, *, box_cap: int = DEFAULT_BOX_CAP,
     always succeeds on a nonempty poset, so this terminates with the exact
     value (the decision problem is monotone in d).
     """
-    poset = char_poset(F, box_cap=box_cap)
+    poset = char_poset(F, box_cap=box_cap, deadline=deadline)
     for d in range(poset.n, -1, -1):
         part = exists_partition(poset, d, node_budget=node_budget, deadline=deadline)
         if part is not None:

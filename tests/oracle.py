@@ -1,18 +1,26 @@
-"""Independent brute-force Stanley depth for small factors.
+"""Independent brute-force Stanley depth and depth for small factors.
 
-Used as a cross-check oracle: membership is recomputed from generator
-divisibility and the partition search is an exact-cover run (Algorithm X,
-dict-of-sets form) over the full catalogue of admissible intervals.
-Nothing here touches the package's poset or search code.
+Used as cross-check oracles: membership is recomputed from generator
+divisibility.  The Stanley depth partition search is an exact-cover run
+(Algorithm X, dict-of-sets form) over the full catalogue of admissible
+intervals.  Depth scans the Koszul complex on every cell of the (padded)
+box and takes ranks by Gaussian elimination over Fraction.  Nothing here
+touches the package's poset, search or homology code.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 
 def _divides(u, v) -> bool:
     return all(a <= b for a, b in zip(u, v))
+
+
+def _in_factor(F, a) -> bool:
+    return (any(_divides(m, a) for m in F.I.gens)
+            and not any(_divides(m, a) for m in F.J.gens))
 
 
 def members(F):
@@ -22,7 +30,7 @@ def members(F):
     g = tuple(max((m[v] for m in gi + gj), default=0) for v in range(n))
     pts = []
     for a in product(*(range(e + 1) for e in g)):
-        if any(_divides(m, a) for m in gi) and not any(_divides(m, a) for m in gj):
+        if _in_factor(F, a):
             pts.append(a)
     return g, pts
 
@@ -92,3 +100,50 @@ def oracle_sdepth(F) -> int:
         if exact_cover_exists(pts, rows):
             return d
     return 0  # singletons always cover
+
+
+def rank(rows) -> int:
+    """Rank by plain Gaussian elimination over Fraction."""
+    m = [[Fraction(e) for e in r] for r in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def oracle_depth(F, pad: int = 0) -> int:
+    """n minus the top i with H_i nonzero in some Koszul slice at a cell of
+    [0, g + pad]; the slice at a has a basis vector per subset S with
+    x^(a - e_S) in I minus J, and d(e_S) = sum_k (-1)^k e_(S minus S[k])."""
+    n = F.n
+    g = tuple(max((m[v] for m in F.I.gens + F.J.gens), default=0) + pad
+              for v in range(n))
+    top = -1
+    for a in product(*(range(e + 1) for e in g)):
+        present = [[S for S in combinations(range(n), i)
+                    if all(a[j] > 0 for j in S)
+                    and _in_factor(F, tuple(x - (j in S) for j, x in enumerate(a)))]
+                   for i in range(n + 1)]
+        ranks = [0] * (n + 2)
+        for i in range(1, n + 1):
+            if present[i] and present[i - 1]:
+                row = {S: k for k, S in enumerate(present[i - 1])}
+                mat = [[0] * len(present[i]) for _ in present[i - 1]]
+                for c, S in enumerate(present[i]):
+                    for k in range(i):
+                        face = S[:k] + S[k + 1:]
+                        if face in row:
+                            mat[row[face]][c] = (-1) ** k
+                ranks[i] = rank(mat)
+        for i in range(n + 1):
+            if len(present[i]) - ranks[i] - ranks[i + 1]:
+                top = max(top, i)
+    return n - top

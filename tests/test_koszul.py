@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import helpers
+import oracle
 from helpers import fac
 from monocanon import (
     BoxCapError,
@@ -15,6 +16,7 @@ from monocanon import (
     PrimeField,
     Rationals,
     TimeLimitError,
+    canonicalize,
     depth,
     homology_dims,
     matrix_rank,
@@ -23,26 +25,6 @@ from monocanon import (
     support,
 )
 from monocanon.koszul import homology_profile
-
-
-def _rank_by_fraction_gauss(rows):
-    """Plain Gaussian elimination over Fraction, as an independent oracle."""
-    m = [[Fraction(e) for e in r] for r in rows]
-    rank = 0
-    for c in range(len(m[0])):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        lead = m[rank]
-        for i in range(rank + 1, len(m)):
-            f = m[i][c] / lead[c]
-            if f:
-                m[i] = [a - f * b for a, b in zip(m[i], lead)]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
 
 
 class TestFields:
@@ -93,7 +75,7 @@ class TestMatrixRank:
             [data.draw(st.integers(-9, 9)) for _ in range(ncols)]
             for _ in range(nrows)
         ]
-        expected = _rank_by_fraction_gauss(rows)
+        expected = oracle.rank(rows)
         assert matrix_rank(rows) == expected
         # entries are small enough that no 5x5 minor can reach 2^31 - 1,
         # so the modular rank must agree with the rational one
@@ -191,9 +173,20 @@ class TestDepth:
         assert ((1, 1), 3, (0, 1, 0)) in records
         assert ((0, 0), 1, (1, 0, 0)) in records
 
-    def test_parallel_scan_matches_sequential(self):
+    def test_wide_exponents_match_full_box_oracle(self):
         F = fac("x, y, z", "x^7, y^7, z^7, x*y*z")
-        assert depth(F, workers=2) == depth(F)
+        assert depth(F) == oracle.oracle_depth(F)
+
+    def test_raw_depth_on_a_large_box(self):
+        # 8,120,601 cells; only the lcm lattice (at most 7 points) is scanned
+        F = fac("x, y, z", "x^200*y*z, x^100*y*z^100, x^100*y^200*z")
+        assert depth(F, deadline=time.monotonic() + 2.0) == 1 == depth(canonicalize(F))
+
+    @given(helpers.factors(nmax=3, emax=2))
+    def test_matches_full_box_oracle(self, F):
+        d = depth(F)
+        assert d == oracle.oracle_depth(F) == oracle.oracle_depth(F, pad=1)
+        assert pd(F) == F.n - d
 
     @given(helpers.factors(nmax=3, emax=2))
     def test_field_independence_property(self, F):

@@ -182,6 +182,14 @@ class TestSdepth:
     def test_residue_field(self):
         assert sdepth(fac("x, y", "1", "x, y"))[0] == 0
 
+    def test_deadline_during_poset_build(self):
+        # criterion 7's raw box (262,701 cells) takes about a second to scan
+        F = fac("x, y, z", "x^100*y*z, x^50*y*z^50, x^50*y^50*z")
+        start = time.monotonic()
+        with pytest.raises(TimeLimitError):
+            sdepth(F, deadline=start + 0.1)
+        assert time.monotonic() - start < 0.5
+
     def test_certificate_verifies(self):
         F = fac("x, y, z", "x*y, y*z", "x*y*z^2")
         d, cert = sdepth(F)
