@@ -25,12 +25,18 @@ point lies in the box [0, g] (g the join of all generator exponents), and
 there are at most as many as the cells of the canonical form's box, so the
 scan does not grow with the size of the exponents.
 
-Ranks are computed exactly: fraction-free Bareiss elimination on arbitrary
-precision integers over the rationals, modular elimination over a prime
-field.  The boundary composition d(d(e)) = 0 is asserted for every computed
-slice shape, and the final homology profile is checked to be gap-free
-(Koszul homology is rigid); either failing raises instead of returning
-wrong data.
+The present subsets at a come from generator slack sets: x^(a - eps_F) is a
+multiple of a generator m <= a iff F only uses axes j with m_j < a_j.  So the
+subsets with x^(a - eps_F) in I are the union, over generators of I below a,
+of the bitsets of all subsets of their slack sets, minus the same for J.
+
+For every computed slice shape, d(d(e)) = 0 is asserted by multiplying the
+boundary maps column by column over their nonzeros (at most n per column).
+Ranks are exact, by one sparse elimination that pivots on a shortest row:
+over the rationals on integers divided by their row content after each
+update, over a prime field modulo p.  The final homology profile is checked
+to be gap-free (Koszul homology is rigid); either check failing raises
+instead of returning wrong data.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import le, lt
 
 from .ideals import Factor
 from .limits import DEFAULT_BOX_CAP, BoxCapError, check_deadline
@@ -105,62 +113,49 @@ def parse_field(text: str) -> FieldChoice:
     raise ValueError(f"unrecognized field {text!r}; use 'q' or 'p<prime>'")
 
 
-def _rank_bareiss(m: list[list[int]]) -> int:
-    """Fraction-free elimination; all intermediate entries stay integral."""
-    nrows, ncols = len(m), len(m[0])
+def _rank_sparse(rows: list[dict[int, int]], p: int) -> int:
+    """Rank of rows given as {column: nonzero entry}, over GF(p), or over Q
+    when p is 0.  Each step pivots on a shortest row and clears its first
+    column from the rows that have it: row = a * row - b * pivot, with a a
+    unit.  Over Q, a = pv/g and b = e/g for g = gcd(pv, e), and the new row is
+    divided by the gcd of its entries, so the integers stay exact and small.
+    Over GF(p), a = 1, b = e/pv, and entries are reduced mod p."""
     rank = 0
-    prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][c]
-        row_p = m[rank]
-        for i in range(rank + 1, nrows):
-            mic = m[i][c]
-            row_i = m[i]
-            for j in range(c + 1, ncols):
-                row_i[j] = (pv * row_i[j] - mic * row_p[j]) // prev
-            row_i[c] = 0
-        prev = pv
+    rows = [r for r in rows if r]
+    while rows:
+        piv = min(rows, key=len)
+        col, pv = next(iter(piv.items()))
+        inv = pow(pv, -1, p) if p else 0
         rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _rank_mod(rows, p: int) -> int:
-    m = [[int(e) % p for e in r] for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        row_p = m[rank]
-        for i in range(rank + 1, nrows):
-            f = m[i][c]
-            if f:
-                fi = f * inv % p
-                row_i = m[i]
-                for j in range(c, ncols):
-                    row_i[j] = (row_i[j] - fi * row_p[j]) % p
-        rank += 1
-        if rank == nrows:
-            break
+        rest = []
+        for row in rows:
+            if row is piv:
+                continue
+            e = row.get(col)
+            if e is None:
+                rest.append(row)
+                continue
+            if p:
+                a, b = 1, e * inv % p
+            else:
+                g = math.gcd(pv, e)
+                a, b = pv // g, e // g
+            new = dict(row) if a == 1 else {c: a * v for c, v in row.items()}
+            for c, v in piv.items():
+                x = new.get(c, 0) - b * v
+                if p:
+                    x %= p
+                if x:
+                    new[c] = x
+                else:
+                    del new[c]
+            if new and not p:
+                h = math.gcd(*new.values())
+                if h > 1:
+                    new = {c: x // h for c, x in new.items()}
+            if new:
+                rest.append(new)
+        rows = rest
     return rank
 
 
@@ -173,33 +168,30 @@ def matrix_rank(rows, field: FieldChoice = Rationals()) -> int:
             raise ValueError("ragged matrix")
     if not rows or not rows[0]:
         return 0
-    if isinstance(field, PrimeField):
-        return _rank_mod(rows, field.p)
-    ints = []
-    for r in rows:
-        fr = [Fraction(e) for e in r]
-        den = math.lcm(*(f.denominator for f in fr))
-        ints.append([int(f * den) for f in fr])
-    return _rank_bareiss(ints)
-
-
-def support(F: Factor, a) -> bool:
-    """True iff x^a lies in I minus J."""
-    a = tuple(a)
-    if any(e < 0 for e in a):
-        raise ValueError(f"multidegree {a} has a negative entry")
-    return F.support(a)
-
-
-def _bit_positions(n: int) -> list[tuple[int, ...]]:
-    return [tuple(j for j in range(n) if fm >> j & 1) for fm in range(1 << n)]
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        ints = []
+        for r in rows:
+            fr = [Fraction(e) for e in r]
+            den = math.lcm(*(f.denominator for f in fr))
+            ints.append([int(f * den) for f in fr])
+        rows = ints
+    p = field.p if isinstance(field, PrimeField) else 0
+    if p:
+        rows = [[e % p for e in r] for r in rows]
+    return _rank_sparse([{c: e for c, e in enumerate(r) if e} for r in rows], p)
 
 
 def _matmul_is_zero(A, B) -> bool:
-    for row in A:
-        for c in range(len(B[0])):
-            if sum(row[k] * B[k][c] for k in range(len(B))):
-                return False
+    """True iff the product A B is zero, for A and B given by their columns,
+    each a list of (row, nonzero entry) pairs.  A boundary column has at most
+    n nonzeros, so each column of A B costs at most n^2 products."""
+    for col in B:
+        acc: dict[int, int] = {}
+        for k, v in col:
+            for r, w in A[k]:
+                acc[r] = acc.get(r, 0) + v * w
+        if any(acc.values()):
+            return False
     return True
 
 
@@ -214,50 +206,60 @@ def homology_profile(n: int, present_mask: int, field: FieldChoice = Rationals()
         fm = low.bit_length() - 1
         by_size[fm.bit_count()].append(fm)  # ascending within each size
         pm ^= low
-    mats: dict[int, list[list[int]]] = {}
+    cols: dict[int, list[list[tuple[int, int]]]] = {}
     for i in range(1, n + 1):
         if not by_size[i] or not by_size[i - 1]:
             continue
         rowpos = {fm: r for r, fm in enumerate(by_size[i - 1])}
-        rows = [[0] * len(by_size[i]) for _ in by_size[i - 1]]
-        for c, fm in enumerate(by_size[i]):
+        cols[i] = []
+        for fm in by_size[i]:
+            col = []
             sign = 1
             rem = fm
             while rem:
                 low = rem & -rem
                 r = rowpos.get(fm ^ low)
                 if r is not None:
-                    rows[r][c] = sign
+                    col.append((r, sign))
                 sign = -sign
                 rem ^= low
-        mats[i] = rows
+            cols[i].append(col)
     for i in range(1, n):  # boundary composition must vanish, slice by slice
-        if i in mats and i + 1 in mats:
-            if not _matmul_is_zero(mats[i], mats[i + 1]):
+        if i in cols and i + 1 in cols:
+            if not _matmul_is_zero(cols[i], cols[i + 1]):
                 raise RuntimeError(
                     f"internal error: boundary composition d_{i} o d_{i + 1} "
                     f"is nonzero for present mask {present_mask:#x}"
                 )
     ranks = [0] * (n + 2)
-    for i, mat in mats.items():
-        ranks[i] = matrix_rank(mat, field)
+    for i, mat_cols in cols.items():
+        # the dense matrix ranked is written from the columns checked above
+        rows = [[0] * len(mat_cols) for _ in by_size[i - 1]]
+        for c, col in enumerate(mat_cols):
+            for r, sign in col:
+                rows[r][c] = sign
+        ranks[i] = matrix_rank(rows, field)
     return tuple(len(by_size[i]) - ranks[i] - ranks[i + 1] for i in range(n + 1))
 
 
-def _present_mask(member, a, n: int, positions) -> int:
-    """Bit fm set iff a - eps_fm is a nonnegative multidegree that member accepts."""
-    pm = 0
-    for fm in range(1 << n):
-        b = list(a)
-        ok = True
-        for j in positions[fm]:
-            b[j] -= 1
-            if b[j] < 0:
-                ok = False
-                break
-        if ok and member(tuple(b)):
-            pm |= 1 << fm
-    return pm
+def _present_mask(F: Factor, a, subsets: dict) -> int:
+    """Bit fm set iff x^(a - eps_fm) lies in I minus J, from the slack sets of
+    the generators below a (see the module docstring); subsets caches the
+    bitset of all subsets of each slack set."""
+    fam = [0, 0]
+    for side, gens in enumerate((F.I.gens, F.J.gens)):
+        for m in gens:
+            if all(map(le, m, a)):
+                slack = tuple(map(lt, m, a))
+                sub = subsets.get(slack)
+                if sub is None:
+                    sub = 1
+                    for j, s in enumerate(slack):
+                        if s:
+                            sub |= sub << (1 << j)
+                    subsets[slack] = sub
+                fam[side] |= sub
+    return fam[0] & ~fam[1]
 
 
 def homology_dims(F: Factor, a, field: FieldChoice = Rationals()) -> tuple[int, ...]:
@@ -268,7 +270,7 @@ def homology_dims(F: Factor, a, field: FieldChoice = Rationals()) -> tuple[int, 
         raise ValueError(f"multidegree {a} has {len(a)} entries, expected {n}")
     if any(e < 0 for e in a):
         raise ValueError(f"multidegree {a} has a negative entry")
-    return homology_profile(n, _present_mask(F.support, a, n, _bit_positions(n)), field)
+    return homology_profile(n, _present_mask(F, a, {}), field)
 
 
 def _lcm_lattice(gens, deadline) -> set:
@@ -298,15 +300,7 @@ def _nonzero_homology(F: Factor, field, pad, box_cap, deadline,
         raise BoxCapError(f"Koszul box has {volume} cells, over the cap of {box_cap}")
     points = sorted(_lcm_lattice(F.I.gens, deadline) | _lcm_lattice(F.J.gens, deadline))
     n = F.n
-    positions = _bit_positions(n)
-    seen: dict = {}
-
-    def member(b):
-        hit = seen.get(b)
-        if hit is None:
-            hit = seen[b] = F.support(b)
-        return hit
-
+    subsets: dict = {}
     full = (1 << (1 << n)) - 1
     zero_profile = (0,) * (n + 1)
     cache: dict[int, tuple[int, ...]] = {}
@@ -314,7 +308,7 @@ def _nonzero_homology(F: Factor, field, pad, box_cap, deadline,
     for count, a in enumerate(points):
         if deadline is not None and not (count + 1) % 512:
             check_deadline(deadline)
-        pm = _present_mask(member, a, n, positions)
+        pm = _present_mask(F, a, subsets)
         if pm == 0:
             continue
         if pm == full:

@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,9 +23,8 @@ from monocanon import (
     matrix_rank,
     parse_field,
     pd,
-    support,
 )
-from monocanon.koszul import homology_profile
+from monocanon.koszul import _matmul_is_zero, homology_profile
 
 
 class TestFields:
@@ -64,38 +64,54 @@ class TestMatrixRank:
 
     def test_fraction_entries(self):
         assert matrix_rank([[Fraction(1, 2), 1], [1, 2]]) == 1
+        # 1/2 is 2 in GF(3), not truncated to 0
+        assert matrix_rank([[Fraction(1, 2)]], PrimeField(3)) == 1
 
     def test_rank_can_drop_in_finite_characteristic(self):
         assert matrix_rank([[2]]) == 1
         assert matrix_rank([[2]], PrimeField(2)) == 0
 
-    @given(st.integers(1, 5), st.integers(1, 5), st.data())
-    def test_matches_fraction_gauss(self, nrows, ncols, data):
-        rows = [
-            [data.draw(st.integers(-9, 9)) for _ in range(ncols)]
-            for _ in range(nrows)
-        ]
+    @given(st.booleans(), st.data())
+    def test_matches_fraction_gauss(self, sparse, data):
+        # dense entries up to 9 in magnitude, or sparse {-1, 0, 1} entries,
+        # where the shortest-row pivot order departs from column order
+        size = st.integers(1, 10 if sparse else 5)
+        entry = st.sampled_from((0, 0, 0, 1, -1)) if sparse else st.integers(-9, 9)
+        nrows, ncols = data.draw(size), data.draw(size)
+        rows = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
         expected = oracle.rank(rows)
         assert matrix_rank(rows) == expected
-        # entries are small enough that no 5x5 minor can reach 2^31 - 1,
-        # so the modular rank must agree with the rational one
+        # no 5x5 minor with entries up to 9 can reach 2^31 - 1, nor can a
+        # {-1, 0, 1} minor up to 10x10 (Hadamard bound 10^5), so the modular
+        # rank must agree with the rational one
         assert matrix_rank(rows, PrimeField(2**31 - 1)) == expected
 
 
 class TestSupport:
     def test_membership_difference(self):
         F = fac("x, y", "x*y")
-        assert support(F, (1, 1))
-        assert not support(F, (1, 0))
+        assert F.support((1, 1))
+        assert not F.support((1, 0))
 
     def test_quotient(self):
         F = fac("x, y", "x^2, x*y", "x^3, x^2*y")
-        assert support(F, (2, 0))
-        assert not support(F, (3, 0))
+        assert F.support((2, 0))
+        assert not F.support((3, 0))
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            support(fac("x", "x"), (-1,))
+
+def _full_boundary(n, i):
+    """Columns of d_i on the whole Koszul complex in n variables, each a list
+    of (row, sign): d(e_S) = sum_k (-1)^k e_(S minus S[k])."""
+    row = {S: r for r, S in enumerate(combinations(range(n), i - 1))}
+    return [[(row[S[:k] + S[k + 1:]], (-1) ** k) for k in range(i)]
+            for S in combinations(range(n), i)]
+
+
+def _veronese(n, k):
+    """V(n, k), the squarefree Veronese ideal: all squarefree monomials of
+    degree k in n variables; V(n, 1) is the maximal ideal m_n."""
+    return Factor(MonomialIdeal(n, [tuple(int(j in S) for j in range(n))
+                                    for S in combinations(range(n), k)]))
 
 
 class TestHomologyDims:
@@ -122,6 +138,16 @@ class TestHomologyDims:
     def test_full_profile_is_exact(self):
         for n in (1, 2, 3):
             assert homology_profile(n, (1 << (1 << n)) - 1) == (0,) * (n + 1)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_boundary_composition_check(self, n):
+        d = {i: _full_boundary(n, i) for i in range(1, n + 1)}
+        for i in range(1, n):
+            assert _matmul_is_zero(d[i], d[i + 1])
+            flipped = [list(col) for col in d[i + 1]]
+            r, sign = flipped[0][0]
+            flipped[0][0] = (r, -sign)
+            assert not _matmul_is_zero(d[i], flipped)
 
 
 class TestDepth:
@@ -181,6 +207,15 @@ class TestDepth:
         # 8,120,601 cells; only the lcm lattice (at most 7 points) is scanned
         F = fac("x, y, z", "x^200*y*z, x^100*y*z^100, x^100*y^200*z")
         assert depth(F, deadline=time.monotonic() + 2.0) == 1 == depth(canonicalize(F))
+
+    @pytest.mark.parametrize("field", [Rationals(), PrimeField(32003)], ids=str)
+    @pytest.mark.parametrize("n, k", [(8, 1), (8, 4), (9, 3)])
+    def test_koszul_ladder(self, n, k, field):
+        # depth m_n = 1 and depth V(n, k) = k; V(9, 3) has 84 generators
+        F = _veronese(n, k)
+        d = depth(F, field, deadline=time.monotonic() + 30.0)
+        assert d == k
+        assert pd(F, field) == n - d
 
     @given(helpers.factors(nmax=3, emax=2))
     def test_matches_full_box_oracle(self, F):
