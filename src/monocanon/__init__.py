@@ -8,7 +8,7 @@ from .canonical import (GapError, applicable_gaps, canonicalize,
                         shift_transform, type_wrt)
 from .ideals import (MAX_EXPONENT, DimensionError, Factor, FactorError,
                      Monomial, MonomialIdeal, deglex_key, divides,
-                     join_exponents, minimalize)
+                     minimalize)
 from .invariance import (FAIL, PASS, SKIPPED, CheckRecord,
                          InvarianceViolation, build_forms, check_factor,
                          check_forms)
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "MAX_EXPONENT", "Monomial", "MonomialIdeal", "Factor",
     "DimensionError", "FactorError", "deglex_key", "divides", "minimalize",
-    "join_exponents",
     "ParseError", "parse_ideal", "parse_problem", "format_monomial",
     "format_ideal", "format_ideal_body", "format_factor", "format_problem",
     "default_names",

@@ -164,8 +164,3 @@ class Factor:
 
     def __repr__(self):
         return f"Factor(I={self.I!r}, J={self.J!r})"
-
-
-def join_exponents(F: Factor) -> Monomial:
-    """Free-function alias for Factor.join_exponents."""
-    return F.join_exponents()

@@ -44,8 +44,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import le, lt
+from itertools import chain, islice
+from operator import getitem, le, lt
 
 from .ideals import Factor
 from .limits import DEFAULT_BOX_CAP, BoxCapError, check_deadline
@@ -274,19 +274,33 @@ def homology_dims(F: Factor, a, field: FieldChoice = Rationals()) -> tuple[int, 
 
 
 def _lcm_lattice(gens, deadline) -> set:
-    """lcms of the nonempty subsets of gens, closed up one generator at a time."""
+    """lcms of the nonempty subsets of gens, closed up one generator at a time.
+
+    Each exponent is coded by its rank r among the distinct exponents on its
+    axis, as r ones in that axis's field of one int, so the lcm of two codes
+    is their bitwise OR.  A field is as wide as the number of distinct
+    exponents on its axis, whatever their size."""
     check_deadline(deadline)
-    lattice: set = set()
-    products = 0
+    if len(gens) < 2:
+        return set(gens)
+    values = [sorted(set(col)) for col in zip(*gens)]
+    ranks, fields, shift = [], [], 0
+    for vs in values:
+        ranks.append({v: ((1 << r) - 1) << shift for r, v in enumerate(vs)})
+        fields.append(((1 << len(vs)) - 1) << shift)
+        shift += len(vs)
+    codes: set[int] = set()
     for m in gens:
-        new = {m}
-        for l in lattice:
-            products += 1
-            if deadline is not None and not products % 4096:
-                check_deadline(deadline)
-            new.add(tuple(map(max, m, l)))
-        lattice |= new
-    return lattice
+        c = sum(map(getitem, ranks, m))  # fields are disjoint, so + is |
+        it = iter(codes)
+        grown = {c}
+        for _ in range(0, len(codes), 4096):
+            check_deadline(deadline)
+            grown.update([c | l for l in islice(it, 4096)])
+        codes |= grown
+    # the rank on an axis is the number of ones in its field
+    return set(zip(*([vs[(c & f).bit_count()] for c in codes]
+                     for vs, f in zip(values, fields))))
 
 
 def _nonzero_homology(F: Factor, field, pad, box_cap, deadline,

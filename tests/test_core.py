@@ -18,7 +18,6 @@ from monocanon import (
     format_ideal,
     format_monomial,
     format_problem,
-    join_exponents,
     minimalize,
     parse_ideal,
     parse_problem,
@@ -139,8 +138,8 @@ class TestFactor:
     def test_join_exponents(self):
         F = fac("x, y, z", "x^100*y*z, x^50*y*z^50, x^50*y^50*z")
         assert F.join_exponents() == (100, 50, 50)
-        assert join_exponents(fac("x, y, z", "x^2*y*z, x*y*z^2, x*y^2*z")) == (2, 2, 2)
-        assert join_exponents(fac("x, y, z", "1")) == (0, 0, 0)
+        assert fac("x, y, z", "x^2*y*z, x*y*z^2, x*y^2*z").join_exponents() == (2, 2, 2)
+        assert fac("x, y, z", "1").join_exponents() == (0, 0, 0)
 
     def test_support(self):
         F = fac("x, y", "x^2, x*y", "x^3, x^2*y")

@@ -24,7 +24,7 @@ from monocanon import (
     parse_field,
     pd,
 )
-from monocanon.koszul import _matmul_is_zero, homology_profile
+from monocanon.koszul import _lcm_lattice, _matmul_is_zero, homology_profile
 
 
 class TestFields:
@@ -148,6 +148,20 @@ class TestHomologyDims:
             r, sign = flipped[0][0]
             flipped[0][0] = (r, -sign)
             assert not _matmul_is_zero(d[i], flipped)
+
+
+class TestLcmLattice:
+    @given(st.data())
+    def test_matches_lcms_of_all_subsets(self, data):
+        n = data.draw(st.integers(1, 4))
+        exp = st.integers(0, 4) | st.integers(0, 2**31 - 1)
+        gens = data.draw(st.lists(st.tuples(*[exp] * n), max_size=6))
+        expected = {
+            tuple(map(max, zip(*sub)))
+            for k in range(1, len(gens) + 1)
+            for sub in combinations(gens, k)
+        }
+        assert _lcm_lattice(gens, None) == expected
 
 
 class TestDepth:

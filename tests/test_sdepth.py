@@ -69,6 +69,15 @@ class TestCharPoset:
         P = char_poset(fac("x, y", "x^2, x*y"))
         assert P.elem_mask == sum(1 << P.index_of(a) for a in P.coords)
 
+    @given(helpers.factors(nmax=4, emax=3), st.integers(0, 1))
+    def test_elements_match_box_scan_property(self, F, pad):
+        P = char_poset(F, pad=pad)
+        box = itertools.product(*(range(e + pad + 1) for e in F.join_exponents()))
+        assert set(P.coords) == {a for a in box if F.support(a)}
+        indices = [P.index_of(a) for a in P.coords]
+        assert indices == sorted(set(indices))
+        assert P.elem_mask == sum(1 << P.index_of(a) for a in P.coords)
+
     def test_box_cap(self):
         with pytest.raises(BoxCapError, match="cap of 10"):
             char_poset(fac("x, y", "x^5*y^5"), box_cap=10)
@@ -183,8 +192,13 @@ class TestSdepth:
         assert sdepth(fac("x, y", "1", "x, y"))[0] == 0
 
     def test_deadline_during_poset_build(self):
-        # criterion 7's raw box (262,701 cells) takes about a second to scan
         F = fac("x, y, z", "x^100*y*z, x^50*y*z^50, x^50*y^50*z")
+        with pytest.raises(TimeLimitError):
+            char_poset(F, deadline=time.monotonic() - 1.0)
+
+    def test_deadline_overshoot_on_a_large_box(self):
+        # 4,080,501 cells and 49,900 elements; the full sdepth takes seconds
+        F = fac("x, y, z", "x^200*y*z, x^100*y*z^100, x^100*y^200*z")
         start = time.monotonic()
         with pytest.raises(TimeLimitError):
             sdepth(F, deadline=start + 0.1)
