@@ -16,7 +16,7 @@ from .canonical import canonicalize
 from .ideals import Factor
 from .invariance import InvarianceViolation
 from .koszul import FieldChoice, Rationals, depth
-from .limits import ResourceError, deadline_from_timeout
+from .limits import ResourceError, box_volume, deadline_from_timeout
 from .parse import format_factor
 from .sdepth import sdepth
 
@@ -89,19 +89,14 @@ def _measure(fn, repeat: int, timeout: float | None) -> SideTiming:
     return SideTiming(value=value, millis=statistics.median(times), timed_out=False)
 
 
-def _box_volume(F: Factor) -> int:
-    volume = 1
-    for e in F.join_exponents():
-        volume *= e + 1
-    return volume
-
-
 def run_bench(F: Factor, names, *, label: str = "", repeat: int = 1,
               timeout: float | None = None,
               field: FieldChoice = Rationals()) -> BenchReport:
+    if repeat < 1:
+        raise ValueError(f"repeat must be at least 1, got {repeat}")
     canonical = canonicalize(F)
-    raw_volume = _box_volume(F)
-    canonical_volume = _box_volume(canonical)
+    raw_volume = box_volume(F.join_exponents())
+    canonical_volume = box_volume(canonical.join_exponents())
 
     metrics: dict[str, MetricBench] = {}
     plans = {

@@ -2,91 +2,92 @@
 
 For each variable the distinct positive exponents appearing among the
 generators of I and J form the "type" (k_1 < ... < k_s); the canonical form
-replaces the i-th smallest exponent by i, per variable.  Each per-variable
+replaces the i-th smallest exponent by i, per variable, in one simultaneous
+substitution.  Gap collapsing and shifting are the same kind of substitution
+on a single variable, and all of them go through _substitute.  Each
 substitution is a strictly increasing bijection on occurring exponents, so
 divisibility among generators is both preserved and reflected: minimal
-generating sets stay minimal, generator counts are unchanged, and
-J strictly inside I stays that way.  Those facts are re-checked at run time
-and any violation raises, since it would mean the substitution was wrong.
+generating sets stay minimal, generator counts are unchanged, and J strictly
+inside I stays that way.  _substitute re-checks both facts once per
+transform and raises if either fails, since it would mean the map was wrong.
 """
 
 from __future__ import annotations
 
-from .ideals import Factor, FactorError, Monomial, MonomialIdeal
+from .ideals import Factor, FactorError, MonomialIdeal
 
 
 class GapError(ValueError):
     """collapse_gap_step was asked to close a gap that is not there."""
 
 
-def _occurring_powers(gens, v: int) -> tuple[int, ...]:
-    return tuple(sorted({m[v] for m in gens if m[v] > 0}))
+def _gens(X):
+    return X.union_gens() if isinstance(X, Factor) else X.gens
 
 
 def type_wrt(F: Factor, v: int) -> tuple[int, ...]:
     """Distinct positive x_v-exponents across G(I) and G(J), increasing."""
     if not 0 <= v < F.n:
         raise IndexError(f"variable index {v} out of range for {F.n} variables")
-    return _occurring_powers(F.union_gens(), v)
+    return tuple(sorted({m[v] for m in _gens(F) if m[v] > 0}))
 
 
 def ideal_type_wrt(I: MonomialIdeal, v: int) -> tuple[int, ...]:
     """Same as type_wrt but for a single ideal."""
-    if not 0 <= v < I.n:
-        raise IndexError(f"variable index {v} out of range for {I.n} variables")
-    return _occurring_powers(I.gens, v)
+    return type_wrt(I, v)
 
 
-def _substituted(gens, v: int, emap: dict) -> list[Monomial]:
-    return [m[:v] + (emap.get(m[v], m[v]),) + m[v + 1 :] for m in gens]
-
-
-def _remap_ideal(I: MonomialIdeal, v: int, emap: dict) -> MonomialIdeal:
-    out = MonomialIdeal(I.n, _substituted(I.gens, v, emap))
-    if len(out.gens) != len(I.gens):
+def _substitute(X, maps: dict[int, dict[int, int]]):
+    """X, a Factor or an ideal, with every x_v-exponent e replaced by
+    maps[v].get(e, e), all variables at once.  X itself when nothing moves."""
+    maps = {v: mp for v, mp in maps.items() if any(k != e for k, e in mp.items())}
+    if not maps:
+        return X
+    if isinstance(X, Factor):
+        try:
+            return Factor(_substitute(X.I, maps), _substitute(X.J, maps))
+        except FactorError as exc:
+            raise RuntimeError(
+                f"internal error: exponent substitution broke J < I: {exc}"
+            )
+    gens = []
+    for m in X.gens:
+        m = list(m)
+        for v, mp in maps.items():
+            m[v] = mp.get(m[v], m[v])
+        gens.append(m)
+    out = MonomialIdeal(X.n, gens)
+    if len(out.gens) != len(X.gens):
         raise RuntimeError(
             "internal error: exponent substitution merged generators "
-            f"({len(I.gens)} -> {len(out.gens)}); the map was not order-preserving"
+            f"({len(X.gens)} -> {len(out.gens)}); the map was not order-preserving"
         )
     return out
 
 
-def _remap_factor(F: Factor, v: int, emap: dict) -> Factor:
-    I2 = _remap_ideal(F.I, v, emap)
-    J2 = _remap_ideal(F.J, v, emap)
-    try:
-        return Factor(I2, J2)
-    except FactorError as exc:
-        raise RuntimeError(f"internal error: exponent substitution broke J < I: {exc}")
-
-
-def _compression_map(powers) -> dict:
+def _compression_map(powers) -> dict[int, int]:
     return {k: i for i, k in enumerate(powers, start=1)}
+
+
+def _compression_maps(X) -> dict[int, dict[int, int]]:
+    """The compression map of every variable, from one scan of the generators."""
+    return {v: _compression_map(sorted(set(col) - {0}))
+            for v, col in enumerate(zip(*_gens(X)))}
 
 
 def canonicalize_var(F: Factor, v: int) -> Factor:
     """Compress the x_v-exponents of F to 1..s, preserving their order."""
-    powers = type_wrt(F, v)
-    if not powers or powers[-1] == len(powers):
-        return F  # already of type (1, ..., s)
-    return _remap_factor(F, v, _compression_map(powers))
+    return _substitute(F, {v: _compression_map(type_wrt(F, v))})
 
 
 def canonicalize(F: Factor) -> Factor:
     """Canonical form: compress every variable.  Idempotent and order-independent."""
-    for v in range(F.n):
-        F = canonicalize_var(F, v)
-    return F
+    return _substitute(F, _compression_maps(F))
 
 
 def canonicalize_ideal(I: MonomialIdeal) -> MonomialIdeal:
     """Canonical form of a single ideal (the J = 0 case, without the wrapper)."""
-    for v in range(I.n):
-        powers = ideal_type_wrt(I, v)
-        if not powers or powers[-1] == len(powers):
-            continue
-        I = _remap_ideal(I, v, _compression_map(powers))
-    return I
+    return _substitute(I, _compression_maps(I))
 
 
 def is_canonical(F: Factor) -> bool:
@@ -114,7 +115,7 @@ def collapse_gap_step(F: Factor, v: int, j: int) -> Factor:
             f"no gap at index {j} of type {powers} for variable {v}: "
             f"{lower} + 1 >= {powers[j]}"
         )
-    return _remap_factor(F, v, {k: k - 1 for k in powers[j:]})
+    return _substitute(F, {v: {k: k - 1 for k in powers[j:]}})
 
 
 def applicable_gaps(F: Factor) -> list[tuple[int, int]]:
@@ -131,21 +132,7 @@ def applicable_gaps(F: Factor) -> list[tuple[int, int]]:
 
 def shift_transform(F: Factor, v: int, k: int) -> Factor:
     """Multiply every generator with x_v-degree at least k by x_v (k >= 1)."""
-    if not 0 <= v < F.n:
-        raise IndexError(f"variable index {v} out of range for {F.n} variables")
+    powers = type_wrt(F, v)
     if k < 1:
         raise ValueError("shift threshold k must be at least 1")
-
-    def bumped(I: MonomialIdeal) -> MonomialIdeal:
-        gens = [
-            m[:v] + (m[v] + 1,) + m[v + 1 :] if m[v] >= k else m for m in I.gens
-        ]
-        out = MonomialIdeal(I.n, gens)
-        if len(out.gens) != len(I.gens):
-            raise RuntimeError("internal error: shift merged generators")
-        return out
-
-    try:
-        return Factor(bumped(F.I), bumped(F.J))
-    except FactorError as exc:
-        raise RuntimeError(f"internal error: shift broke J < I: {exc}")
+    return _substitute(F, {v: {e: e + 1 for e in powers if e >= k}})

@@ -48,7 +48,7 @@ from itertools import chain, islice
 from operator import getitem, le, lt
 
 from .ideals import Factor
-from .limits import DEFAULT_BOX_CAP, BoxCapError, check_deadline
+from .limits import DEFAULT_BOX_CAP, box_volume, check_deadline
 
 DEFAULT_PRIME = 32003
 
@@ -306,12 +306,7 @@ def _lcm_lattice(gens, deadline) -> set:
 def _nonzero_homology(F: Factor, field, pad, box_cap, deadline,
                       trace=None) -> set[int]:
     """Indices i with H_i nonzero in some slice of the lcm lattices of G(I), G(J)."""
-    g = tuple(e + pad for e in F.join_exponents())
-    volume = 1
-    for e in g:
-        volume *= e + 1
-    if volume > box_cap:
-        raise BoxCapError(f"Koszul box has {volume} cells, over the cap of {box_cap}")
+    box_volume([e + pad for e in F.join_exponents()], box_cap, "Koszul box")
     points = sorted(_lcm_lattice(F.I.gens, deadline) | _lcm_lattice(F.J.gens, deadline))
     n = F.n
     subsets: dict = {}

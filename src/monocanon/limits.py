@@ -22,6 +22,16 @@ class TimeLimitError(ResourceError):
     """The wall-clock deadline passed mid-computation."""
 
 
+def box_volume(g, box_cap: int | None = None, what: str = "box") -> int:
+    """Number of cells of the box [0, g]; BoxCapError if it exceeds box_cap."""
+    volume = 1
+    for e in g:
+        volume *= e + 1
+    if box_cap is not None and volume > box_cap:
+        raise BoxCapError(f"{what} has {volume} cells, over the cap of {box_cap}")
+    return volume
+
+
 def deadline_from_timeout(seconds):
     """Absolute monotonic deadline for a timeout in seconds (None passes through)."""
     return None if seconds is None else time.monotonic() + seconds

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ideals import DimensionError, Factor, Monomial, deglex_key
-from .limits import DEFAULT_BOX_CAP, BoxCapError, SearchBudgetError, check_deadline
+from .limits import DEFAULT_BOX_CAP, SearchBudgetError, box_volume, check_deadline
 from .parse import format_monomial
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -86,14 +86,8 @@ class CharacteristicPoset:
     def __init__(self, factor: Factor, box_cap: int = DEFAULT_BOX_CAP, pad: int = 0,
                  deadline: float | None = None):
         g = tuple(e + pad for e in factor.join_exponents())
+        volume = box_volume(g, box_cap, "characteristic box")
         dims = tuple(e + 1 for e in g)
-        volume = 1
-        for d in dims:
-            volume *= d
-        if volume > box_cap:
-            raise BoxCapError(
-                f"characteristic box has {volume} cells, over the cap of {box_cap}"
-            )
         n = len(dims)
         strides = [1] * n
         for j in range(n - 2, -1, -1):

@@ -19,9 +19,11 @@ from monocanon import (
     format_ideal,
     ideal_type_wrt,
     is_canonical,
+    minimalize,
     shift_transform,
     type_wrt,
 )
+from monocanon.canonical import _substitute
 
 
 class TestTypeWrt:
@@ -233,3 +235,40 @@ class TestShiftTransform:
         cap = max(m[v] for m in F.union_gens())
         k = data.draw(st.integers(1, cap + 1))
         assert canonicalize(shift_transform(F, v, k)) == canonicalize(F)
+
+    @given(helpers.factors(), st.data())
+    def test_matches_bumping_each_generator(self, F, data):
+        v = data.draw(st.integers(0, F.n - 1))
+        k = data.draw(st.integers(1, max(m[v] for m in F.union_gens()) + 2))
+
+        def bumped(gens):
+            return minimalize(
+                m[:v] + (m[v] + 1,) + m[v + 1 :] if m[v] >= k else m for m in gens
+            )
+
+        G = shift_transform(F, v, k)
+        assert G.I.gens == bumped(F.I.gens)
+        assert G.J.gens == bumped(F.J.gens)
+
+
+class TestSubstitutionChecks:
+    """A map that is not strictly increasing on the occurring exponents
+    must be caught, not silently produce a different factor."""
+
+    def test_merged_generators_raise(self):
+        F = fac("x, y", "x^2*y, x*y^2")
+        with pytest.raises(RuntimeError, match="merged generators"):
+            _substitute(F, {0: {2: 1}})
+
+    def test_merged_generators_raise_on_an_ideal(self):
+        with pytest.raises(RuntimeError, match="merged generators"):
+            _substitute(ideal("x, y", "x^2*y, x*y^2"), {0: {2: 1}})
+
+    def test_broken_containment_raises(self):
+        F = fac("x", "x^2", "x^3")
+        with pytest.raises(RuntimeError, match="broke J < I"):
+            _substitute(F, {0: {3: 2}})
+
+    def test_identity_maps_return_the_input(self):
+        F = fac("x, y", "x^4, x^3*y^7")
+        assert _substitute(F, {0: {3: 3, 4: 4}, 1: {}}) is F

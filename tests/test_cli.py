@@ -186,6 +186,11 @@ class TestBench:
         assert report.metrics["sdepth"].raw.value == report.metrics["sdepth"].canonical.value
         assert report.to_dict() == payload
 
+    def test_rejects_zero_repeats(self, write, capsys):
+        assert main(["bench", write(TWO_VARS), "--repeat", "0"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.strip() == "error: repeat must be at least 1, got 0"
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):
