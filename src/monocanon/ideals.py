@@ -8,6 +8,8 @@ immutable by construction and every operation returns fresh values.
 
 from __future__ import annotations
 
+from operator import le
+
 Monomial = tuple[int, ...]
 
 # machine-width guard: exponents beyond this are rejected at construction
@@ -38,10 +40,15 @@ def divides(u: Monomial, v: Monomial) -> bool:
 
 def minimalize(gens) -> tuple[Monomial, ...]:
     """Divisibility-minimal subset of gens, deglex-sorted and duplicate-free."""
+    ms = sorted({tuple(g) for g in gens}, key=deglex_key)
+    for m in ms:
+        if len(m) != len(ms[0]):
+            raise DimensionError(f"cannot compare exponent vectors of lengths "
+                                 f"{len(ms[0])} and {len(m)}")
     out: list[Monomial] = []
     # ascending degree: a kept generator can divide a later one, never vice versa
-    for m in sorted({tuple(g) for g in gens}, key=deglex_key):
-        if not any(divides(k, m) for k in out):
+    for m in ms:
+        if not any(all(map(le, k, m)) for k in out):
             out.append(m)
     return tuple(out)
 

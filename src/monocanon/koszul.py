@@ -30,6 +30,18 @@ multiple of a generator m <= a iff F only uses axes j with m_j < a_j.  So the
 subsets with x^(a - eps_F) in I are the union, over generators of I below a,
 of the bitsets of all subsets of their slack sets, minus the same for J.
 
+Every present subset lies in supp(a), because a slack axis has
+a_j > m_j >= 0.  So each slice is built over its k = |supp(a)| support axes
+only: bit t of a subset stands for the t-th support axis.  The homology of a
+slice depends only on its family of subsets, so slices with the same family
+on different support axes share one profile: the per-scan cache is keyed by
+the family coded over k axes, and each profile, computed in k variables, is
+padded with zeros to length n + 1 (H_i = 0 for i > k).  A family that is the
+whole power set of k >= 1 axes is the full Koszul complex of K[x_j : j in
+supp(a)], which is exact, so that slice is skipped.  At a = 0 (k = 0) the
+one present subset, the empty one, gives H_0 = 1, and that slice is not
+skipped.
+
 For every computed slice shape, d(d(e)) = 0 is asserted by multiplying the
 boundary maps column by column over their nonzeros (at most n per column).
 Ranks are exact, by one sparse elimination that pivots on a shortest row:
@@ -45,7 +57,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from operator import getitem, le, lt
+from operator import getitem, le
 
 from .ideals import Factor
 from .limits import DEFAULT_BOX_CAP, box_volume, check_deadline
@@ -242,21 +254,24 @@ def homology_profile(n: int, present_mask: int, field: FieldChoice = Rationals()
     return tuple(len(by_size[i]) - ranks[i] - ranks[i + 1] for i in range(n + 1))
 
 
-def _present_mask(F: Factor, a, subsets: dict) -> int:
-    """Bit fm set iff x^(a - eps_fm) lies in I minus J, from the slack sets of
-    the generators below a (see the module docstring); subsets caches the
-    bitset of all subsets of each slack set."""
+def _present_mask(F: Factor, a, axes, subsets: dict) -> int:
+    """Bit fm set iff x^(a - eps_S) lies in I minus J, S the set of axes[t]
+    over the bits t of fm; axes, the support of a, holds every present
+    subset.  Built from the slack sets of the generators below a (see the
+    module docstring); subsets caches the bitset of all subsets of each
+    slack set, coded over the support axes."""
     fam = [0, 0]
     for side, gens in enumerate((F.I.gens, F.J.gens)):
         for m in gens:
             if all(map(le, m, a)):
-                slack = tuple(map(lt, m, a))
+                # a list comprehension builds faster than a generator here
+                slack = tuple([m[j] < a[j] for j in axes])
                 sub = subsets.get(slack)
                 if sub is None:
                     sub = 1
-                    for j, s in enumerate(slack):
+                    for t, s in enumerate(slack):
                         if s:
-                            sub |= sub << (1 << j)
+                            sub |= sub << (1 << t)
                     subsets[slack] = sub
                 fam[side] |= sub
     return fam[0] & ~fam[1]
@@ -270,7 +285,9 @@ def homology_dims(F: Factor, a, field: FieldChoice = Rationals()) -> tuple[int, 
         raise ValueError(f"multidegree {a} has {len(a)} entries, expected {n}")
     if any(e < 0 for e in a):
         raise ValueError(f"multidegree {a} has a negative entry")
-    return homology_profile(n, _present_mask(F, a, {}), field)
+    axes = [j for j, e in enumerate(a) if e]
+    k = len(axes)
+    return homology_profile(k, _present_mask(F, a, axes, {}), field) + (0,) * (n - k)
 
 
 def _lcm_lattice(gens, deadline) -> set:
@@ -310,24 +327,26 @@ def _nonzero_homology(F: Factor, field, pad, box_cap, deadline,
     points = sorted(_lcm_lattice(F.I.gens, deadline) | _lcm_lattice(F.J.gens, deadline))
     n = F.n
     subsets: dict = {}
-    full = (1 << (1 << n)) - 1
     zero_profile = (0,) * (n + 1)
     cache: dict[int, tuple[int, ...]] = {}
     nz: set[int] = set()
     for count, a in enumerate(points):
         if deadline is not None and not (count + 1) % 512:
             check_deadline(deadline)
-        pm = _present_mask(F, a, subsets)
+        axes = [j for j, e in enumerate(a) if e]
+        k = len(axes)
+        pm = _present_mask(F, a, axes, subsets)
         if pm == 0:
             continue
-        if pm == full:
-            # the slice of a free module at a >= (1,..,1): exact
+        if k and pm == (1 << (1 << k)) - 1:
+            # the full Koszul complex on the k >= 1 support axes: exact
             if trace is not None:
                 trace(a, pm.bit_count(), zero_profile)
             continue
         prof = cache.get(pm)
         if prof is None:
-            prof = homology_profile(n, pm, field)
+            # subsets of k axes leave H_i = 0 for i > k
+            prof = homology_profile(k, pm, field) + (0,) * (n - k)
             cache[pm] = prof
         if trace is not None:
             trace(a, pm.bit_count(), prof)

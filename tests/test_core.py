@@ -52,6 +52,13 @@ class TestMinimalize:
     def test_duplicates(self):
         assert minimalize([(1, 1), (1, 1)]) == ((1, 1),)
 
+    def test_mixed_lengths(self):
+        # the first generator in deglex order is compared with each other one
+        with pytest.raises(DimensionError, match="lengths 2 and 3"):
+            minimalize([(1, 2), (1, 2, 3)])
+        with pytest.raises(DimensionError, match="lengths 3 and 2"):
+            minimalize([(5, 5), (0, 0, 1)])
+
     @given(helpers.ideals(min_gens=0))
     def test_antichain_generating_same_ideal(self, I):
         gens = I.gens

@@ -24,6 +24,7 @@ from monocanon import (
     parse_field,
     pd,
 )
+from monocanon import koszul
 from monocanon.koszul import _lcm_lattice, _matmul_is_zero, homology_profile
 
 
@@ -139,6 +140,20 @@ class TestHomologyDims:
         for n in (1, 2, 3):
             assert homology_profile(n, (1 << (1 << n)) - 1) == (0,) * (n + 1)
 
+    @given(helpers.factors(nmax=4, emax=2), st.data())
+    def test_matches_profile_over_all_axes(self, F, data):
+        # points off the lcm lattice and with zero coordinates included; the
+        # mask is built over all n axes, straight from membership
+        n = F.n
+        a = tuple(data.draw(st.integers(0, e + 1)) for e in F.join_exponents())
+        mask = 0
+        for fm in range(1 << n):
+            S = [j for j in range(n) if fm >> j & 1]
+            if all(a[j] for j in S) and oracle._in_factor(
+                    F, tuple(x - (j in S) for j, x in enumerate(a))):
+                mask |= 1 << fm
+        assert homology_dims(F, a) == homology_profile(n, mask)
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_boundary_composition_check(self, n):
         d = {i: _full_boundary(n, i) for i in range(1, n + 1)}
@@ -230,6 +245,24 @@ class TestDepth:
         d = depth(F, field, deadline=time.monotonic() + 30.0)
         assert d == k
         assert pd(F, field) == n - d
+
+    def test_maximal_ideal_in_twelve_variables(self):
+        F = _veronese(12, 1)
+        assert depth(F, PrimeField(32003), deadline=time.monotonic() + 8.0) == 1
+
+    def test_one_profile_per_support_shape(self, monkeypatch):
+        # m_8 has 255 lattice points but only 8 support sizes, each with the
+        # same family of subsets: all but the whole support
+        calls = []
+        real = koszul.homology_profile
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(koszul, "homology_profile", counted)
+        assert depth(_veronese(8, 1)) == 1
+        assert len(calls) <= 8
 
     @given(helpers.factors(nmax=3, emax=2))
     def test_matches_full_box_oracle(self, F):
