@@ -4,7 +4,7 @@ canonical form that compresses exponents before the expensive searches."""
 from .bench import BenchReport, MetricBench, SideTiming, run_bench
 from .canonical import (GapError, applicable_gaps, canonicalize,
                         canonicalize_ideal, canonicalize_var,
-                        collapse_gap_step, ideal_type_wrt, is_canonical,
+                        collapse_gap_step, is_canonical,
                         shift_transform, type_wrt)
 from .ideals import (MAX_EXPONENT, DimensionError, Factor, FactorError,
                      Monomial, MonomialIdeal, deglex_key, divides,
@@ -32,7 +32,7 @@ __all__ = [
     "ParseError", "parse_ideal", "parse_problem", "format_monomial",
     "format_ideal", "format_ideal_body", "format_factor", "format_problem",
     "default_names",
-    "GapError", "type_wrt", "ideal_type_wrt", "canonicalize",
+    "GapError", "type_wrt", "canonicalize",
     "canonicalize_var", "canonicalize_ideal", "is_canonical",
     "collapse_gap_step", "applicable_gaps", "shift_transform",
     "CharacteristicPoset", "IntervalPartition", "char_poset", "rho",

@@ -1,13 +1,15 @@
 """Benchmark harness: raw input versus canonical form, wall-clock timed.
 
 Every timing uses the monotonic clock.  When the raw side hits the timeout
-its elapsed time is still recorded and the speedup becomes a lower bound.
+its elapsed time is still recorded and the speedup becomes a lower bound;
+when the canonical side hits it there is no speedup.
 Computed values must agree between the raw and canonical sides whenever
 both finished; a report that violates that is an error, not data.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from dataclasses import asdict, dataclass
@@ -94,6 +96,8 @@ def run_bench(F: Factor, names, *, label: str = "", repeat: int = 1,
               field: FieldChoice = Rationals()) -> BenchReport:
     if repeat < 1:
         raise ValueError(f"repeat must be at least 1, got {repeat}")
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise ValueError(f"timeout must be a positive number of seconds, got {timeout}")
     canonical = canonicalize(F)
     raw_volume = box_volume(F.join_exponents())
     canonical_volume = box_volume(canonical.join_exponents())
@@ -122,7 +126,7 @@ def run_bench(F: Factor, names, *, label: str = "", repeat: int = 1,
                 f"({canon.value}) forms of {label or format_factor(F, names)}"
             )
         speedup = None
-        if canon.millis > 0:
+        if canon.millis > 0 and not canon.timed_out:
             speedup = raw.millis / canon.millis
         metrics[name] = MetricBench(
             raw=raw,

@@ -25,16 +25,12 @@ def _gens(X):
     return X.union_gens() if isinstance(X, Factor) else X.gens
 
 
-def type_wrt(F: Factor, v: int) -> tuple[int, ...]:
-    """Distinct positive x_v-exponents across G(I) and G(J), increasing."""
+def type_wrt(F: Factor | MonomialIdeal, v: int) -> tuple[int, ...]:
+    """Distinct positive x_v-exponents, increasing: across G(I) and G(J) for
+    a Factor, across the generators for a MonomialIdeal."""
     if not 0 <= v < F.n:
         raise IndexError(f"variable index {v} out of range for {F.n} variables")
     return tuple(sorted({m[v] for m in _gens(F) if m[v] > 0}))
-
-
-def ideal_type_wrt(I: MonomialIdeal, v: int) -> tuple[int, ...]:
-    """Same as type_wrt but for a single ideal."""
-    return type_wrt(I, v)
 
 
 def _substitute(X, maps: dict[int, dict[int, int]]):

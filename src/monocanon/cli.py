@@ -14,11 +14,10 @@ import sys
 
 from .bench import run_bench
 from .canonical import canonicalize, type_wrt
-from .ideals import DimensionError, FactorError
 from .invariance import FAIL, SKIPPED, InvarianceViolation, check_factor
 from .koszul import Rationals, depth, parse_field
 from .limits import ResourceError
-from .parse import (ParseError, format_factor, format_monomial, parse_problem)
+from .parse import format_factor, format_monomial, parse_problem
 from .sdepth import decomposition_lines, sdepth
 
 EXIT_OK = 0
@@ -204,12 +203,13 @@ def cmd_bench(args) -> int:
     ]
     for name, m in report.metrics.items():
         raw_val = "timeout" if m.raw.timed_out else m.raw.value
+        canon_val = "timeout" if m.canonical.timed_out else m.canonical.value
         bound = ">=" if m.speedup_is_lower_bound else "="
-        speedup = f"{m.speedup:.1f}" if m.speedup is not None else "n/a"
+        speedup = f"{bound} {m.speedup:.1f}x" if m.speedup is not None else "n/a"
         lines.append(
             f"{name}: raw={raw_val} ({m.raw.millis:.1f} ms)"
-            f" canonical={m.canonical.value} ({m.canonical.millis:.1f} ms)"
-            f" speedup {bound} {speedup}x"
+            f" canonical={canon_val} ({m.canonical.millis:.1f} ms)"
+            f" speedup {speedup}"
         )
     _emit({"command": "bench", **report.to_dict()}, args.json, lines)
     return EXIT_OK
@@ -253,10 +253,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (UsageError, ParseError, FactorError, DimensionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # UsageError and ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvarianceViolation as exc:

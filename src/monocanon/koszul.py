@@ -29,6 +29,9 @@ The present subsets at a come from generator slack sets: x^(a - eps_F) is a
 multiple of a generator m <= a iff F only uses axes j with m_j < a_j.  So the
 subsets with x^(a - eps_F) in I are the union, over generators of I below a,
 of the bitsets of all subsets of their slack sets, minus the same for J.
+Each bitset is grown from its generator's slack axes at every point: a cache
+of them keyed by slack set measured no faster, so the profile cache below is
+the scan's only cache.
 
 Every present subset lies in supp(a), because a slack axis has
 a_j > m_j >= 0.  So each slice is built over its k = |supp(a)| support axes
@@ -254,27 +257,22 @@ def homology_profile(n: int, present_mask: int, field: FieldChoice = Rationals()
     return tuple(len(by_size[i]) - ranks[i] - ranks[i + 1] for i in range(n + 1))
 
 
-def _present_mask(F: Factor, a, axes, subsets: dict) -> int:
-    """Bit fm set iff x^(a - eps_S) lies in I minus J, S the set of axes[t]
-    over the bits t of fm; axes, the support of a, holds every present
-    subset.  Built from the slack sets of the generators below a (see the
-    module docstring); subsets caches the bitset of all subsets of each
-    slack set, coded over the support axes."""
+def _present_mask(F: Factor, a) -> tuple[int, int]:
+    """(k, mask) with k = |supp(a)| and bit fm of mask set iff x^(a - eps_S)
+    lies in I minus J, S the set of the t-th support axes over the bits t of
+    fm.  Built from the slack sets of the generators below a (see the module
+    docstring): each adds the bitset of all subsets of its slack axes."""
+    axes = [j for j, e in enumerate(a) if e]
     fam = [0, 0]
     for side, gens in enumerate((F.I.gens, F.J.gens)):
         for m in gens:
             if all(map(le, m, a)):
-                # a list comprehension builds faster than a generator here
-                slack = tuple([m[j] < a[j] for j in axes])
-                sub = subsets.get(slack)
-                if sub is None:
-                    sub = 1
-                    for t, s in enumerate(slack):
-                        if s:
-                            sub |= sub << (1 << t)
-                    subsets[slack] = sub
+                sub = 1
+                for t, j in enumerate(axes):
+                    if m[j] < a[j]:
+                        sub |= sub << (1 << t)
                 fam[side] |= sub
-    return fam[0] & ~fam[1]
+    return len(axes), fam[0] & ~fam[1]
 
 
 def homology_dims(F: Factor, a, field: FieldChoice = Rationals()) -> tuple[int, ...]:
@@ -285,9 +283,8 @@ def homology_dims(F: Factor, a, field: FieldChoice = Rationals()) -> tuple[int, 
         raise ValueError(f"multidegree {a} has {len(a)} entries, expected {n}")
     if any(e < 0 for e in a):
         raise ValueError(f"multidegree {a} has a negative entry")
-    axes = [j for j, e in enumerate(a) if e]
-    k = len(axes)
-    return homology_profile(k, _present_mask(F, a, axes, {}), field) + (0,) * (n - k)
+    k, pm = _present_mask(F, a)
+    return homology_profile(k, pm, field) + (0,) * (n - k)
 
 
 def _lcm_lattice(gens, deadline) -> set:
@@ -326,28 +323,23 @@ def _nonzero_homology(F: Factor, field, pad, box_cap, deadline,
     box_volume([e + pad for e in F.join_exponents()], box_cap, "Koszul box")
     points = sorted(_lcm_lattice(F.I.gens, deadline) | _lcm_lattice(F.J.gens, deadline))
     n = F.n
-    subsets: dict = {}
     zero_profile = (0,) * (n + 1)
     cache: dict[int, tuple[int, ...]] = {}
     nz: set[int] = set()
     for count, a in enumerate(points):
         if deadline is not None and not (count + 1) % 512:
             check_deadline(deadline)
-        axes = [j for j, e in enumerate(a) if e]
-        k = len(axes)
-        pm = _present_mask(F, a, axes, subsets)
+        k, pm = _present_mask(F, a)
         if pm == 0:
             continue
         if k and pm == (1 << (1 << k)) - 1:
             # the full Koszul complex on the k >= 1 support axes: exact
-            if trace is not None:
-                trace(a, pm.bit_count(), zero_profile)
-            continue
-        prof = cache.get(pm)
-        if prof is None:
-            # subsets of k axes leave H_i = 0 for i > k
-            prof = homology_profile(k, pm, field) + (0,) * (n - k)
-            cache[pm] = prof
+            prof = zero_profile
+        else:
+            prof = cache.get(pm)
+            if prof is None:
+                # subsets of k axes leave H_i = 0 for i > k
+                prof = cache[pm] = homology_profile(k, pm, field) + (0,) * (n - k)
         if trace is not None:
             trace(a, pm.bit_count(), prof)
         for i, h in enumerate(prof):

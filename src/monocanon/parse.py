@@ -11,12 +11,13 @@ numerator, the optional second the denominator.  On the right-hand side
 ``0`` denotes the zero ideal and ``1`` the unit monomial; monomials are
 ``*``-separated variable powers.  Whitespace and line breaks are free.
 Printing is deterministic (generators in deglex order) and parsing a
-printed ideal gives back the same ideal.
+printed ideal gives back the same ideal.  Tokens carry only their offset in
+the text; the line and column a ParseError reports are worked out from it
+when the error is raised.
 """
 
 from __future__ import annotations
 
-import bisect
 import re
 from dataclasses import dataclass
 
@@ -34,78 +35,66 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\S")
-_GOOD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[,;=^*-]")
-
-
-def _tokenize(text):
-    line_starts = [0] + [m.end() for m in re.finditer(r"\n", text)]
-
-    def pos(offset):
-        i = bisect.bisect_right(line_starts, offset) - 1
-        return i + 1, offset - line_starts[i] + 1
-
-    toks = []
-    for m in _TOKEN.finditer(text):
-        s = m.group()
-        ln, col = pos(m.start())
-        if not _GOOD.fullmatch(s):
-            raise ParseError(f"unexpected character {s!r}", ln, col)
-        toks.append((s, ln, col))
-    end_ln, end_col = pos(len(text))
-    return toks, (end_ln, end_col)
+_TOKEN = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>[0-9]+)"
+                    r"|(?P<punct>[,;=^*-])|(?P<bad>\S)")
 
 
 class _Stream:
-    def __init__(self, toks, end_pos):
-        self.toks = toks
+    """The tokens of text as (text, kind, offset), kind a group of _TOKEN."""
+
+    def __init__(self, text):
+        self.text = text
+        self.toks = [(m.group(), m.lastgroup, m.start()) for m in _TOKEN.finditer(text)]
         self.i = 0
-        self.end_pos = end_pos
+        for tok, kind, offset in self.toks:
+            if kind == "bad":
+                raise self.error(f"unexpected character {tok!r}", offset)
+
+    def error(self, message, offset=None) -> ParseError:
+        """ParseError at offset, by default the end of the text."""
+        if offset is None:
+            offset = len(self.text)
+        line = self.text.count("\n", 0, offset) + 1
+        return ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
 
     def peek(self):
         return self.toks[self.i][0] if self.i < len(self.toks) else None
 
     def next(self, expect=None):
         if self.i >= len(self.toks):
-            ln, col = self.end_pos
-            what = f"expected {expect!r}" if expect else "unexpected end of input"
-            raise ParseError(what, ln, col)
+            raise self.error(f"expected {expect!r}" if expect else "unexpected end of input")
         tok = self.toks[self.i]
         self.i += 1
         if expect is not None and tok[0] != expect:
-            raise ParseError(f"expected {expect!r}, found {tok[0]!r}", tok[1], tok[2])
+            raise self.error(f"expected {expect!r}, found {tok[0]!r}", tok[2])
         return tok
-
-
-def _is_ident(s):
-    return bool(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", s or ""))
 
 
 def _parse_monomial(st: _Stream, index_of: dict, n: int) -> Monomial:
     exps = [0] * n
     while True:
-        tok, ln, col = st.next(None)
+        tok, kind, offset = st.next(None)
         if tok == "1":
             pass  # unit factor, contributes nothing
-        elif tok.isdigit():
-            raise ParseError(f"unexpected number {tok!r} in monomial", ln, col)
-        elif _is_ident(tok):
+        elif kind == "num":
+            raise st.error(f"unexpected number {tok!r} in monomial", offset)
+        elif kind == "name":
             if tok not in index_of:
-                raise ParseError(f"unknown variable {tok!r}", ln, col)
+                raise st.error(f"unknown variable {tok!r}", offset)
             e = 1
             if st.peek() == "^":
                 st.next("^")
-                etok, eln, ecol = st.next(None)
+                etok, ekind, eoffset = st.next(None)
                 if etok == "-":
-                    raise ParseError("negative exponent", eln, ecol)
-                if not etok.isdigit():
-                    raise ParseError(f"expected exponent, found {etok!r}", eln, ecol)
+                    raise st.error("negative exponent", eoffset)
+                if ekind != "num":
+                    raise st.error(f"expected exponent, found {etok!r}", eoffset)
                 e = int(etok)
                 if e > MAX_EXPONENT:
-                    raise ParseError(f"exponent {e} exceeds the 2^31 - 1 cap", eln, ecol)
+                    raise st.error(f"exponent {e} exceeds the 2^31 - 1 cap", eoffset)
             exps[index_of[tok]] += e
         else:
-            raise ParseError(f"expected a variable, found {tok!r}", ln, col)
+            raise st.error(f"expected a variable, found {tok!r}", offset)
         if st.peek() == "*":
             st.next("*")
             continue
@@ -128,12 +117,11 @@ def parse_ideal(text: str, names) -> MonomialIdeal:
     """Parse a comma-separated generator list (or ``0``) over the given variables."""
     names = tuple(names)
     index_of = {name: j for j, name in enumerate(names)}
-    toks, end = _tokenize(text)
-    st = _Stream(toks, end)
+    st = _Stream(text)
     ideal = _parse_gens(st, index_of, len(names))
     if st.peek() is not None:
-        tok, ln, col = st.next(None)
-        raise ParseError(f"trailing input {tok!r}", ln, col)
+        tok, _, offset = st.next(None)
+        raise st.error(f"trailing input {tok!r}", offset)
     return ideal
 
 
@@ -156,18 +144,17 @@ class ParsedProblem:
 
 def parse_problem(text: str) -> ParsedProblem:
     """Parse a full ideal file: ring line, then assignments for I and optionally J."""
-    toks, end = _tokenize(text)
-    st = _Stream(toks, end)
-    kw, ln, col = st.next(None)
+    st = _Stream(text)
+    kw, _, offset = st.next(None)
     if kw != "ring":
-        raise ParseError(f"expected 'ring', found {kw!r}", ln, col)
+        raise st.error(f"expected 'ring', found {kw!r}", offset)
     names = []
     while True:
-        tok, ln, col = st.next(None)
-        if not _is_ident(tok):
-            raise ParseError(f"expected a variable name, found {tok!r}", ln, col)
+        tok, kind, offset = st.next(None)
+        if kind != "name":
+            raise st.error(f"expected a variable name, found {tok!r}", offset)
         if tok in names:
-            raise ParseError(f"duplicate variable name {tok!r}", ln, col)
+            raise st.error(f"duplicate variable name {tok!r}", offset)
         names.append(tok)
         if st.peek() == ",":
             st.next(",")
@@ -177,16 +164,15 @@ def parse_problem(text: str) -> ParsedProblem:
     index_of = {name: j for j, name in enumerate(names)}
     assignments = []
     while st.peek() is not None:
-        name, ln, col = st.next(None)
-        if not _is_ident(name):
-            raise ParseError(f"expected an ideal name, found {name!r}", ln, col)
+        name, kind, offset = st.next(None)
+        if kind != "name":
+            raise st.error(f"expected an ideal name, found {name!r}", offset)
         st.next("=")
         ideal = _parse_gens(st, index_of, len(names))
         st.next(";")
         assignments.append((name, ideal))
     if not assignments:
-        ln, col = end
-        raise ParseError("no ideal assignment found", ln, col)
+        raise st.error("no ideal assignment found")
     if len(assignments) > 2:
         raise ParseError("at most two ideal assignments are allowed (I and J)")
     return ParsedProblem(tuple(names), tuple(assignments))

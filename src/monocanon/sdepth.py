@@ -80,8 +80,7 @@ class CharacteristicPoset:
     coords is decoded from the set bits of elem_mask alone.
     """
 
-    __slots__ = ("n", "g", "dims", "strides", "volume", "coords", "elem_mask",
-                 "_catalogue")
+    __slots__ = ("n", "g", "strides", "volume", "coords", "elem_mask", "_catalogue")
 
     def __init__(self, factor: Factor, box_cap: int = DEFAULT_BOX_CAP, pad: int = 0,
                  deadline: float | None = None):
@@ -109,7 +108,6 @@ class CharacteristicPoset:
             coords.append(tuple(a))
         self.n = n
         self.g = g
-        self.dims = dims
         self.strides = tuple(strides)
         self.volume = volume
         self.coords = tuple(coords)

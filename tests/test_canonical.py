@@ -17,7 +17,6 @@ from monocanon import (
     divides,
     format_factor,
     format_ideal,
-    ideal_type_wrt,
     is_canonical,
     minimalize,
     shift_transform,
@@ -53,7 +52,7 @@ class TestTypeWrt:
             type_wrt(fac("x, y", "x"), 2)
 
     def test_ideal_variant(self):
-        assert ideal_type_wrt(ideal("x, y", "x^4, x^3*y^7"), 0) == (3, 4)
+        assert type_wrt(ideal("x, y", "x^4, x^3*y^7"), 0) == (3, 4)
 
 
 class TestCanonicalizeVar:

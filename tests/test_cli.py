@@ -191,6 +191,15 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.strip() == "error: repeat must be at least 1, got 0"
 
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+    def test_rejects_a_timeout_that_is_not_positive_and_finite(self, write, capsys,
+                                                              timeout):
+        assert main(["bench", write(TWO_VARS), "--timeout", timeout]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.strip() == (
+            f"error: timeout must be a positive number of seconds, got {float(timeout)}"
+        )
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):

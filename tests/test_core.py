@@ -245,6 +245,52 @@ class TestParseProblem:
             parse_problem("ring x, y;\nI = x\n")
 
 
+# One row per ParseError the parser raises: (ring names for parse_ideal, or
+# None for parse_problem; text; message; line; column).
+PARSE_ERRORS = [
+    (None, "", "unexpected end of input", 1, 1),
+    (None, "ring", "unexpected end of input", 1, 5),
+    (None, "ring x;\nI = x^", "unexpected end of input", 2, 7),
+    (None, "ring x, y;\nI = x\n", "expected ';'", 3, 1),
+    (None, "I = x;\n", "expected 'ring', found 'I'", 1, 1),
+    (None, "ring 1;\nI = x;\n", "expected a variable name, found '1'", 1, 6),
+    (None, "ring x, x;\nI = x;\n", "duplicate variable name 'x'", 1, 9),
+    (None, "ring x y;\nI = x;\n", "expected ';', found 'y'", 1, 8),
+    (None, "ring x;\nI x;\n", "expected '=', found 'x'", 2, 3),
+    (None, "ring x, y;\n1 = x;\n", "expected an ideal name, found '1'", 2, 1),
+    (None, "ring x, y;\nI = 2*x;\n", "unexpected number '2' in monomial", 2, 5),
+    (None, "ring x, y;\nI = x*w;\n", "unknown variable 'w'", 2, 7),
+    (None, "ring x;\nI = x^-2;\n", "negative exponent", 2, 7),
+    (None, "ring x;\nI = x^y;\n", "expected exponent, found 'y'", 2, 7),
+    (None, "ring x;\nI = x^2147483648;\n",
+     "exponent 2147483648 exceeds the 2^31 - 1 cap", 2, 7),
+    (None, "ring x;\nI = x, ;\n", "expected a variable, found ';'", 2, 8),
+    (None, "ring x;\nI = x$;\n", "unexpected character '$'", 2, 6),
+    # characters are rejected before any syntax error earlier in the text
+    (None, "ring x\nI = x;²", "unexpected character '²'", 2, 7),
+    (None, "ring x;\n\tI = q;\n", "unknown variable 'q'", 2, 6),
+    (None, "ring x;\r\nI = q;\r\n", "unknown variable 'q'", 2, 5),
+    (None, "ring x, y;\n", "no ideal assignment found", 2, 1),
+    (None, "ring x;\nA = x;\nB = x^2;\nC = x^3;\n",
+     "at most two ideal assignments are allowed (I and J)", None, None),
+    (("x", "y"), "x y", "trailing input 'y'", 1, 3),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("names, text, message, line, col", PARSE_ERRORS)
+    def test_message_line_and_column(self, names, text, message, line, col):
+        with pytest.raises(ParseError) as err:
+            if names is None:
+                parse_problem(text)
+            else:
+                parse_ideal(text, names)
+        if line is not None:
+            message = f"{message} (line {line}, column {col})"
+        assert str(err.value) == message
+        assert (err.value.line, err.value.col) == (line, col)
+
+
 class TestFormatting:
     def test_monomial(self):
         assert format_monomial((2, 1, 0), ("x", "y", "z")) == "x^2*y"

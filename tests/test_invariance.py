@@ -91,6 +91,25 @@ class TestBench:
             assert metric.speedup is not None
             assert not metric.speedup_is_lower_bound
 
+    @pytest.mark.parametrize("timeout", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_a_timeout_that_is_not_positive_and_finite(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be a positive number"):
+            run_bench(fac("x, y", "x^2, x*y"), ("x", "y"), timeout=timeout)
+
+    def test_no_speedup_when_the_canonical_side_times_out(self, monkeypatch):
+        from monocanon import bench
+        from monocanon.limits import TimeLimitError
+
+        def times_out(*args, **kwargs):
+            raise TimeLimitError("wall-clock deadline exceeded")
+
+        monkeypatch.setattr(bench, "sdepth", times_out)
+        monkeypatch.setattr(bench, "depth", times_out)
+        report = run_bench(fac("x, y", "x^2, x*y"), ("x", "y"), timeout=1.0)
+        for metric in report.metrics.values():
+            assert metric.canonical.timed_out
+            assert metric.speedup is None
+
     def test_round_trip(self):
         report = run_bench(fac("x, y", "x^2, x*y"), ("x", "y"))
         again = type(report).from_dict(report.to_dict())

@@ -228,6 +228,22 @@ class TestDepth:
         assert ((1, 1), 3, (0, 1, 0)) in records
         assert ((0, 0), 1, (1, 0, 0)) in records
 
+    @given(helpers.factors(nmax=4, emax=2))
+    def test_trace_records_match_homology_dims(self, F):
+        # the scan and homology_dims build their slices with the same code;
+        # skipped exact slices must also read as a fresh slice computes them
+        records = []
+        depth(F, trace=lambda a, present, dims: records.append((a, present, dims)))
+        assert records
+        for a, present, dims in records:
+            assert dims == homology_dims(F, a)
+            assert present == sum(
+                oracle._in_factor(F, tuple(x - (j in S) for j, x in enumerate(a)))
+                for r in range(F.n + 1)
+                for S in combinations(range(F.n), r)
+                if all(a[j] for j in S)
+            )
+
     def test_wide_exponents_match_full_box_oracle(self):
         F = fac("x, y, z", "x^7, y^7, z^7, x*y*z")
         assert depth(F) == oracle.oracle_depth(F)
