@@ -13,7 +13,7 @@ from .invariance import (FAIL, PASS, SKIPPED, CheckRecord,
                          InvarianceViolation, build_forms, check_factor,
                          check_forms)
 from .koszul import (FieldChoice, PrimeField, Rationals, depth,
-                     homology_dims, matrix_rank, parse_field, pd)
+                     homology_dims, matrix_rank, parse_field)
 from .limits import (BoxCapError, ResourceError, SearchBudgetError,
                      TimeLimitError)
 from .parse import (ParseError, default_names, format_factor, format_ideal,
@@ -39,7 +39,7 @@ __all__ = [
     "exists_partition", "sdepth", "verify_decomposition",
     "decomposition_lines",
     "FieldChoice", "Rationals", "PrimeField", "parse_field", "matrix_rank",
-    "homology_dims", "depth", "pd",
+    "homology_dims", "depth",
     "ResourceError", "BoxCapError", "SearchBudgetError", "TimeLimitError",
     "InvarianceViolation", "CheckRecord", "PASS", "FAIL", "SKIPPED",
     "build_forms", "check_factor", "check_forms",

@@ -2,7 +2,8 @@
 
 Every timing uses the monotonic clock.  When the raw side hits the timeout
 its elapsed time is still recorded and the speedup becomes a lower bound;
-when the canonical side hits it there is no speedup.
+when the canonical side hits it there is no speedup.  Any other resource
+limit, such as a box over the cap, is raised rather than timed.
 Computed values must agree between the raw and canonical sides whenever
 both finished; a report that violates that is an error, not data.
 """
@@ -18,7 +19,7 @@ from .canonical import canonicalize
 from .ideals import Factor
 from .invariance import InvarianceViolation
 from .koszul import FieldChoice, Rationals, depth
-from .limits import ResourceError, box_volume, deadline_from_timeout
+from .limits import TimeLimitError, box_volume, deadline_from_timeout
 from .parse import format_factor
 from .sdepth import sdepth
 
@@ -77,7 +78,7 @@ def _measure(fn, repeat: int, timeout: float | None) -> SideTiming:
         start = time.monotonic()
         try:
             got = fn(deadline)
-        except ResourceError:
+        except TimeLimitError:
             elapsed = (time.monotonic() - start) * 1000.0
             times.append(elapsed)
             return SideTiming(value=None, millis=statistics.median(times), timed_out=True)

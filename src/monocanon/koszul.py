@@ -25,13 +25,18 @@ point lies in the box [0, g] (g the join of all generator exponents), and
 there are at most as many as the cells of the canonical form's box, so the
 scan does not grow with the size of the exponents.
 
+One rank coding serves the lcm closure and every test of the scan: the
+exponent e on axis j is coded by its rank r among the exponents of G(I),
+G(J) and 0 on that axis, as r ones at the bottom of axis j's field of one
+int, axis 0 highest.  Then lcm(m, c) = m | c, m <= c iff m | c == c, j is in
+supp(c) iff c & field_j, and for m <= c, m_j < c_j iff (c ^ m) & field_j.
+Codes sort as their multidegrees do in lex order; only trace decodes them.
+
 The present subsets at a come from generator slack sets: x^(a - eps_F) is a
 multiple of a generator m <= a iff F only uses axes j with m_j < a_j.  So the
 subsets with x^(a - eps_F) in I are the union, over generators of I below a,
 of the bitsets of all subsets of their slack sets, minus the same for J.
-Each bitset is grown from its generator's slack axes at every point: a cache
-of them keyed by slack set measured no faster, so the profile cache below is
-the scan's only cache.
+The bitsets are grown at every point; a cache of them measured no faster.
 
 Every present subset lies in supp(a), because a slack axis has
 a_j > m_j >= 0.  So each slice is built over its k = |supp(a)| support axes
@@ -60,7 +65,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from operator import getitem, le
+from operator import getitem
 
 from .ideals import Factor
 from .limits import DEFAULT_BOX_CAP, box_volume, check_deadline
@@ -257,19 +262,35 @@ def homology_profile(n: int, present_mask: int, field: FieldChoice = Rationals()
     return tuple(len(by_size[i]) - ranks[i] - ranks[i + 1] for i in range(n + 1))
 
 
-def _present_mask(F: Factor, a) -> tuple[int, int]:
-    """(k, mask) with k = |supp(a)| and bit fm of mask set iff x^(a - eps_S)
-    lies in I minus J, S the set of the t-th support axes over the bits t of
-    fm.  Built from the slack sets of the generators below a (see the module
-    docstring): each adds the bitset of all subsets of its slack axes."""
-    axes = [j for j, e in enumerate(a) if e]
+def _rank_coding(F: Factor, *extra):
+    """The rank codes (see the module docstring) of G(I) and G(J), as a pair,
+    and of extra, the field of each axis, and the decoder of a code."""
+    values = [sorted(set(col)) for col in zip((0,) * F.n, *F.union_gens(), *extra)]
+    shift = sum(map(len, values)) - F.n  # total width: one bit per nonzero rank
+    ranks = []
+    for vs in values:
+        shift -= len(vs) - 1
+        ranks.append({v: ((1 << r) - 1) << shift for r, v in enumerate(vs)})
+    fields = [r[vs[-1]] for r, vs in zip(ranks, values)]
+    encode = lambda m: sum(map(getitem, ranks, m))  # fields are disjoint: + is |
+    decode = lambda c: tuple(vs[(c & f).bit_count()] for vs, f in zip(values, fields))
+    gens = ([*map(encode, F.I.gens)], [*map(encode, F.J.gens)])
+    return gens, [*map(encode, extra)], fields, decode
+
+
+def _present_mask(c: int, fields, gens) -> tuple[int, int]:
+    """(k, mask) at the multidegree a coded as c: k = |supp(a)|, and bit fm of
+    mask is set iff x^(a - eps_S) lies in I minus J, S the t-th support axes
+    over the bits t of fm (see the module docstring)."""
+    axes = [f for f in fields if c & f]
     fam = [0, 0]
-    for side, gens in enumerate((F.I.gens, F.J.gens)):
-        for m in gens:
-            if all(map(le, m, a)):
+    for side, codes in enumerate(gens):
+        for m in codes:
+            if m | c == c:
+                slack = c ^ m
                 sub = 1
-                for t, j in enumerate(axes):
-                    if m[j] < a[j]:
+                for t, f in enumerate(axes):
+                    if slack & f:
                         sub |= sub << (1 << t)
                 fam[side] |= sub
     return len(axes), fam[0] & ~fam[1]
@@ -283,82 +304,23 @@ def homology_dims(F: Factor, a, field: FieldChoice = Rationals()) -> tuple[int, 
         raise ValueError(f"multidegree {a} has {len(a)} entries, expected {n}")
     if any(e < 0 for e in a):
         raise ValueError(f"multidegree {a} has a negative entry")
-    k, pm = _present_mask(F, a)
+    gens, (c,), fields, _ = _rank_coding(F, a)
+    k, pm = _present_mask(c, fields, gens)
     return homology_profile(k, pm, field) + (0,) * (n - k)
 
 
-def _lcm_lattice(gens, deadline) -> set:
-    """lcms of the nonempty subsets of gens, closed up one generator at a time.
-
-    Each exponent is coded by its rank r among the distinct exponents on its
-    axis, as r ones in that axis's field of one int, so the lcm of two codes
-    is their bitwise OR.  A field is as wide as the number of distinct
-    exponents on its axis, whatever their size."""
+def _lcm_lattice(codes, deadline) -> set[int]:
+    """The lcms of the nonempty subsets of codes, closed up one code at a time."""
     check_deadline(deadline)
-    if len(gens) < 2:
-        return set(gens)
-    values = [sorted(set(col)) for col in zip(*gens)]
-    ranks, fields, shift = [], [], 0
-    for vs in values:
-        ranks.append({v: ((1 << r) - 1) << shift for r, v in enumerate(vs)})
-        fields.append(((1 << len(vs)) - 1) << shift)
-        shift += len(vs)
-    codes: set[int] = set()
-    for m in gens:
-        c = sum(map(getitem, ranks, m))  # fields are disjoint, so + is |
-        it = iter(codes)
+    lattice: set[int] = set()
+    for c in codes:
+        it = iter(lattice)
         grown = {c}
-        for _ in range(0, len(codes), 4096):
+        for _ in range(0, len(lattice), 4096):
             check_deadline(deadline)
             grown.update([c | l for l in islice(it, 4096)])
-        codes |= grown
-    # the rank on an axis is the number of ones in its field
-    return set(zip(*([vs[(c & f).bit_count()] for c in codes]
-                     for vs, f in zip(values, fields))))
-
-
-def _nonzero_homology(F: Factor, field, pad, box_cap, deadline,
-                      trace=None) -> set[int]:
-    """Indices i with H_i nonzero in some slice of the lcm lattices of G(I), G(J)."""
-    box_volume([e + pad for e in F.join_exponents()], box_cap, "Koszul box")
-    points = sorted(_lcm_lattice(F.I.gens, deadline) | _lcm_lattice(F.J.gens, deadline))
-    n = F.n
-    zero_profile = (0,) * (n + 1)
-    cache: dict[int, tuple[int, ...]] = {}
-    nz: set[int] = set()
-    for count, a in enumerate(points):
-        if deadline is not None and not (count + 1) % 512:
-            check_deadline(deadline)
-        k, pm = _present_mask(F, a)
-        if pm == 0:
-            continue
-        if k and pm == (1 << (1 << k)) - 1:
-            # the full Koszul complex on the k >= 1 support axes: exact
-            prof = zero_profile
-        else:
-            prof = cache.get(pm)
-            if prof is None:
-                # subsets of k axes leave H_i = 0 for i > k
-                prof = cache[pm] = homology_profile(k, pm, field) + (0,) * (n - k)
-        if trace is not None:
-            trace(a, pm.bit_count(), prof)
-        for i, h in enumerate(prof):
-            if h:
-                nz.add(i)
-    return nz
-
-
-def _top_index(nz: set[int]) -> int:
-    """The largest index in nz, after checking nz is nonempty and gap-free
-    (Koszul homology is rigid)."""
-    if not nz:
-        raise RuntimeError("internal error: no nonzero Koszul homology found")
-    q = max(nz)
-    if nz != set(range(q + 1)):
-        raise RuntimeError(
-            f"internal error: rigidity violated, nonzero homology at {sorted(nz)}"
-        )
-    return q
+        lattice |= grown
+    return lattice
 
 
 def depth(F: Factor, field: FieldChoice = Rationals(), *, pad: int = 0,
@@ -375,11 +337,37 @@ def depth(F: Factor, field: FieldChoice = Rationals(), *, pad: int = 0,
     dims) for every lattice slice with a present subset.  The homology
     profile is checked to be gap-free before returning.
     """
-    return F.n - _top_index(_nonzero_homology(F, field, pad, box_cap, deadline, trace))
-
-
-def pd(F: Factor, field: FieldChoice = Rationals(), *, pad: int = 0,
-       box_cap: int = DEFAULT_BOX_CAP) -> int:
-    """Projective dimension: the top nonvanishing Koszul homology index,
-    n - depth, from the same gap-free check as depth."""
-    return _top_index(_nonzero_homology(F, field, pad, box_cap, None))
+    box_volume([e + pad for e in F.join_exponents()], box_cap, "Koszul box")
+    gens, _, fields, decode = _rank_coding(F)
+    points = sorted(_lcm_lattice(gens[0], deadline) | _lcm_lattice(gens[1], deadline))
+    n = F.n
+    zero_profile = (0,) * (n + 1)
+    cache: dict[int, tuple[int, ...]] = {}
+    nz: set[int] = set()  # indices i with H_i nonzero in some slice
+    for count, c in enumerate(points):
+        if deadline is not None and not (count + 1) % 512:
+            check_deadline(deadline)
+        k, pm = _present_mask(c, fields, gens)
+        if pm == 0:
+            continue
+        if k and pm == (1 << (1 << k)) - 1:
+            # the full Koszul complex on the k >= 1 support axes: exact
+            prof = zero_profile
+        else:
+            prof = cache.get(pm)
+            if prof is None:
+                # subsets of k axes leave H_i = 0 for i > k
+                prof = cache[pm] = homology_profile(k, pm, field) + (0,) * (n - k)
+        if trace is not None:
+            trace(decode(c), pm.bit_count(), prof)
+        for i, h in enumerate(prof):
+            if h:
+                nz.add(i)
+    if not nz:
+        raise RuntimeError("internal error: no nonzero Koszul homology found")
+    q = max(nz)
+    if nz != set(range(q + 1)):  # Koszul homology is rigid
+        raise RuntimeError(
+            f"internal error: rigidity violated, nonzero homology at {sorted(nz)}"
+        )
+    return n - q

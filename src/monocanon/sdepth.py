@@ -117,11 +117,6 @@ class CharacteristicPoset:
     def index_of(self, a) -> int:
         return sum(e * s for e, s in zip(a, self.strides))
 
-    def covered_interval_mask(self, a, b, within: int):
-        """Box-cell mask of [a, b] if every cell is set in `within`, else None."""
-        seg = _block_mask(a, b, self.strides)
-        return seg if within & seg == seg else None
-
 
 def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP, pad: int = 0,
                deadline: float | None = None) -> CharacteristicPoset:
@@ -348,8 +343,9 @@ def sdepth(F: Factor, *, box_cap: int = DEFAULT_BOX_CAP,
 
 def verify_decomposition(F: Factor, partition: IntervalPartition, d: int,
                          box_cap: int = DEFAULT_BOX_CAP) -> bool:
-    """Certificate check against char_poset(F): disjoint intervals inside the
-    element set, union equal to it, every top with rho >= d."""
+    """Certificate check against char_poset(F): disjoint intervals whose union
+    is the element set, every top with rho >= d.  A block holding a cell
+    outside the element set leaves the union unequal to it."""
     poset = char_poset(F, box_cap=box_cap)
     g = poset.g
     covered = 0
@@ -360,9 +356,7 @@ def verify_decomposition(F: Factor, partition: IntervalPartition, d: int,
             return False
         if rho(b, g) < d:
             return False
-        mask = poset.covered_interval_mask(a, b, poset.elem_mask)
-        if mask is None:  # some cell is not an element
-            return False
+        mask = _block_mask(a, b, poset.strides)
         if covered & mask:  # overlap
             return False
         covered |= mask

@@ -166,6 +166,15 @@ class TestCheck:
         assert main(["check", write(MAXIMAL)]) == EXIT_VIOLATION
         assert "FAIL" in capsys.readouterr().out
 
+    def test_unverified_certificate_exit_code(self, write, capsys, monkeypatch):
+        monkeypatch.setattr("monocanon.invariance.verify_decomposition",
+                            lambda *args, **kwargs: False)
+        path = write(MAXIMAL)
+        assert main(["check", path]) == EXIT_VIOLATION
+        assert capsys.readouterr().out == (
+            f"FAIL {path}: sdepth certificate of form 'input' failed verification\n"
+        )
+
 
 class TestBench:
     def test_report_lines(self, write, capsys):
@@ -198,6 +207,18 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.strip() == (
             f"error: timeout must be a positive number of seconds, got {float(timeout)}"
+        )
+
+    def test_a_box_over_the_cap_is_a_resource_limit_not_a_timeout(self, write, capsys):
+        # the raw box has 20001^2 cells and is refused at once; the canonical
+        # box has 9
+        text = "ring x, y;\nI = x^20000*y, x*y^20000;\n"
+        assert main(["bench", write(text)]) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "resource limit: characteristic box has 400040001 cells, "
+            "over the cap of 100000000\n"
         )
 
 

@@ -70,6 +70,15 @@ class TestCheckForms:
         assert "differs" in rec.reason
         assert rec.line().startswith("FAIL bad:")
 
+    def test_a_certificate_that_fails_verification_is_a_failure(self, monkeypatch):
+        monkeypatch.setattr("monocanon.invariance.verify_decomposition",
+                            lambda *args, **kwargs: False)
+        rec = check_forms("probe", {"input": fac("x, y", "x^2, x*y")})
+        assert rec.status == FAIL
+        assert rec.line() == (
+            "FAIL probe: sdepth certificate of form 'input' failed verification"
+        )
+
     def test_budget_exhaustion_is_skipped_not_passed(self):
         rec = check_forms("tight", {"input": fac("x, y, z", "x, y, z")},
                           node_budget=0)
@@ -133,3 +142,12 @@ class TestBench:
         timing = _measure(never, repeat=3, timeout=0.001)
         assert timing.timed_out
         assert timing.value is None
+
+    def test_measure_raises_a_limit_that_is_not_a_timeout(self):
+        from monocanon.limits import BoxCapError
+
+        def refused(deadline):
+            raise BoxCapError("synthetic")
+
+        with pytest.raises(BoxCapError, match="synthetic"):
+            _measure(refused, repeat=3, timeout=1.0)

@@ -22,10 +22,9 @@ from monocanon import (
     homology_dims,
     matrix_rank,
     parse_field,
-    pd,
 )
 from monocanon import koszul
-from monocanon.koszul import _lcm_lattice, _matmul_is_zero, homology_profile
+from monocanon.koszul import _lcm_lattice, _matmul_is_zero, _rank_coding, homology_profile
 
 
 class TestFields:
@@ -176,7 +175,10 @@ class TestLcmLattice:
             for k in range(1, len(gens) + 1)
             for sub in combinations(gens, k)
         }
-        assert _lcm_lattice(gens, None) == expected
+        # coded, closed and decoded; code order is lex order of exponents
+        unit = Factor(MonomialIdeal(n, [(0,) * n]))
+        _, codes, _, decode = _rank_coding(unit, *gens)
+        assert [decode(c) for c in sorted(_lcm_lattice(codes, None))] == sorted(expected)
 
 
 class TestDepth:
@@ -244,6 +246,12 @@ class TestDepth:
                 if all(a[j] for j in S)
             )
 
+    @given(helpers.factors(nmax=4))
+    def test_trace_multidegrees_increase_in_lex_order(self, F):
+        points = []
+        depth(F, trace=lambda a, present, dims: points.append(a))
+        assert all(p < q for p, q in zip(points, points[1:]))
+
     def test_wide_exponents_match_full_box_oracle(self):
         F = fac("x, y, z", "x^7, y^7, z^7, x*y*z")
         assert depth(F) == oracle.oracle_depth(F)
@@ -260,7 +268,6 @@ class TestDepth:
         F = _veronese(n, k)
         d = depth(F, field, deadline=time.monotonic() + 30.0)
         assert d == k
-        assert pd(F, field) == n - d
 
     def test_maximal_ideal_in_twelve_variables(self):
         F = _veronese(12, 1)
@@ -282,9 +289,7 @@ class TestDepth:
 
     @given(helpers.factors(nmax=3, emax=2))
     def test_matches_full_box_oracle(self, F):
-        d = depth(F)
-        assert d == oracle.oracle_depth(F) == oracle.oracle_depth(F, pad=1)
-        assert pd(F) == F.n - d
+        assert depth(F) == oracle.oracle_depth(F) == oracle.oracle_depth(F, pad=1)
 
     @given(helpers.factors(nmax=3, emax=2))
     def test_field_independence_property(self, F):
@@ -293,18 +298,3 @@ class TestDepth:
     @given(helpers.factors(nmax=2, emax=2))
     def test_pad_property(self, F):
         assert depth(F) == depth(F, pad=1)
-
-
-class TestPd:
-    def test_residue_field(self):
-        assert pd(fac("x, y", "1", "x, y")) == 2
-
-    def test_free_module(self):
-        assert pd(fac("x, y, z", "1")) == 0
-
-    def test_hypersurface(self):
-        assert pd(fac("x, y", "1", "x*y")) == 1
-
-    def test_complements_depth(self):
-        F = fac("x, y, z", "x*y, y*z", "x*y*z")
-        assert pd(F) == 3 - depth(F)

@@ -24,6 +24,7 @@ from monocanon import (
     sdepth,
     verify_decomposition,
 )
+from monocanon.sdepth import _block_mask
 
 
 def oracle_feasible(F, d) -> bool:
@@ -104,10 +105,7 @@ class TestCharPoset:
             1 << P.index_of(c)
             for c in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(a, b)))
         )
-        box = (1 << P.volume) - 1
-        assert P.covered_interval_mask(a, b, box) == expected
-        assert P.covered_interval_mask(a, b, expected) == expected
-        assert P.covered_interval_mask(a, b, expected >> 1) is None
+        assert _block_mask(a, b, P.strides) == expected
 
 
 class TestExistsPartition:
