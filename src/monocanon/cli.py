@@ -18,7 +18,7 @@ from .invariance import FAIL, SKIPPED, InvarianceViolation, check_factor
 from .koszul import Rationals, depth, parse_field
 from .limits import ResourceError
 from .parse import format_factor, format_monomial, parse_problem
-from .sdepth import decomposition_lines, sdepth
+from .sdepth import decomposition_lines, sdepth, verify_decomposition
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -122,6 +122,8 @@ def cmd_sdepth(args) -> int:
     names = problem.names
     target = F if args.no_canon else canonicalize(F)
     value, cert = sdepth(target)
+    if not verify_decomposition(target, cert, value):
+        raise InvarianceViolation(f"certificate for sdepth = {value} failed verification")
     g = target.join_exponents()
     lines = [f"sdepth = {value}"]
     if not args.no_canon:

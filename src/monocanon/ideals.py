@@ -152,12 +152,7 @@ class Factor:
 
     def join_exponents(self) -> Monomial:
         """Componentwise maximum over all generators of I and J."""
-        g = [0] * self.n
-        for m in self.union_gens():
-            for j, e in enumerate(m):
-                if e > g[j]:
-                    g[j] = e
-        return tuple(g)
+        return tuple(map(max, zip((0,) * self.n, *self.union_gens())))
 
     def support(self, a) -> bool:
         """True iff x^a lies in I but not in J."""

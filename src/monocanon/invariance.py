@@ -48,8 +48,7 @@ def build_forms(F: Factor, rng: random.Random) -> dict[str, Factor]:
     """The original, its canonical form, and one random shift transform."""
     forms = {"input": F, "canonical": canonicalize(F)}
     v = rng.randrange(F.n)
-    cap = max((m[v] for m in F.union_gens()), default=0)
-    k = rng.randint(1, cap + 1)
+    k = rng.randint(1, F.join_exponents()[v] + 1)
     forms[f"shift(v={v},k={k})"] = shift_transform(F, v, k)
     return forms
 

@@ -8,16 +8,17 @@ rho(b) = #{j : b_j = g_j} over the interval tops; the Stanley depth of I/J
 is the best achievable minimum over all interval partitions
 (Herzog-Vladoiu-Zheng, J. Algebra 2009).
 
-exists_partition decides one level d as an exact cover problem.  Its rows
-come from a catalogue built once per poset: for every element a, each
-interval [a, b] inside the element set whose top has every b_j in
-{a_j, g_j}.  Elements are numbered in lex order; a row stores the elements
-it covers as a bitmask, and an element stores the rows that contain it as a
-bitmask.  The search is Algorithm X on those bitsets (Knuth, Dancing Links,
-2000): it branches on the uncovered element with the fewest rows still
-compatible with the choices made so far, biggest intervals first.  The
-search is complete and the catalogue loses no partition, so sdepth below is
-exact.
+char_poset builds the poset and its catalogue together.  exists_partition
+decides one level d as an exact cover problem whose rows come from that
+catalogue: for every element a, each interval [a, b] inside the element set
+whose top has every b_j in {a_j, g_j}.  Elements are numbered in lex order;
+a row stores the elements it covers as a bitmask, and an element stores the
+rows that contain it as a bitmask.  The search is Algorithm X on those
+bitsets (Knuth, Dancing Links, 2000): it branches on the uncovered element
+with the fewest rows still compatible with the choices made so far, biggest
+intervals first.  The search is complete and the catalogue loses no
+partition, so sdepth below is exact.  verify_decomposition checks a
+certificate against the element mask alone.
 """
 
 from __future__ import annotations
@@ -66,63 +67,64 @@ def _block_mask(lo, hi, strides) -> int:
     return block << sum(e * s for e, s in zip(lo, strides))
 
 
-class CharacteristicPoset:
-    """Multidegrees of I minus J inside the box [0, g], with bitset machinery.
+def _element_set(F: Factor, box_cap: int, deadline: float | None):
+    """(g, strides, volume, elem_mask) of F's box [0, g].
 
     Box cells are numbered lexicographically with the last coordinate
-    running fastest, so numeric order of cell indices is lex order of
-    multidegrees and bit i of elem_mask refers to cell i.  coords lists the
-    elements in the same order.
-
-    The element set is never scanned cell by cell.  The multiples of a
-    generator m inside the box are the sub-box [m, g], so elem_mask is the OR
-    of the blocks [m, g] over G(I) with the blocks over G(J) cleared, and
-    coords is decoded from the set bits of elem_mask alone.
+    running fastest, so bit i of elem_mask refers to cell i.  The box is
+    never scanned cell by cell: the multiples of a generator m inside it are
+    the sub-box [m, g], so elem_mask is the OR of the blocks [m, g] over G(I)
+    with the blocks over G(J) cleared.
     """
+    g = F.join_exponents()
+    volume = box_volume(g, box_cap, "characteristic box")
+    strides = [1] * len(g)
+    for j in range(len(g) - 2, -1, -1):
+        strides[j] = strides[j + 1] * (g[j + 1] + 1)
+    upsets = [0, 0]
+    for side, gens in enumerate((F.I.gens, F.J.gens)):
+        for m in gens:
+            check_deadline(deadline)
+            upsets[side] |= _block_mask(m, g, strides)
+    return g, tuple(strides), volume, upsets[0] & ~upsets[1]
 
-    __slots__ = ("n", "g", "strides", "volume", "coords", "elem_mask", "_catalogue")
 
-    def __init__(self, factor: Factor, box_cap: int = DEFAULT_BOX_CAP, pad: int = 0,
-                 deadline: float | None = None):
-        g = tuple(e + pad for e in factor.join_exponents())
-        volume = box_volume(g, box_cap, "characteristic box")
-        dims = tuple(e + 1 for e in g)
-        n = len(dims)
-        strides = [1] * n
-        for j in range(n - 2, -1, -1):
-            strides[j] = strides[j + 1] * dims[j + 1]
-        upsets = [0, 0]
-        for side, gens in enumerate((factor.I.gens, factor.J.gens)):
-            for m in gens:
-                check_deadline(deadline)
-                upsets[side] |= _block_mask(m, g, strides)
-        mask = upsets[0] & ~upsets[1]
-        coords: list[Monomial] = []
-        for k, idx in enumerate(_bits(mask)):
-            if deadline is not None and not k % 4096:
-                check_deadline(deadline)
-            a = []
-            for s in strides:
-                e, idx = divmod(idx, s)
-                a.append(e)
-            coords.append(tuple(a))
-        self.n = n
-        self.g = g
-        self.strides = tuple(strides)
-        self.volume = volume
-        self.coords = tuple(coords)
-        self.elem_mask = mask
-        self._catalogue = None  # built by the first exists_partition call
+@dataclass(frozen=True, slots=True, eq=False)
+class CharacteristicPoset:
+    """Multidegrees of I minus J inside the box [0, g], with their interval
+    catalogue.  coords lists the elements in lex order, which is the order of
+    their cell indices (see _element_set)."""
+
+    n: int
+    g: Monomial
+    strides: tuple[int, ...]
+    volume: int
+    coords: tuple[Monomial, ...]
+    elem_mask: int
+    catalogue: _Catalogue
 
     def index_of(self, a) -> int:
         return sum(e * s for e, s in zip(a, self.strides))
 
 
-def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP, pad: int = 0,
+def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
                deadline: float | None = None) -> CharacteristicPoset:
-    """Build the characteristic poset of F, refusing boxes over box_cap cells
-    and raising TimeLimitError once deadline passes."""
-    return CharacteristicPoset(F, box_cap=box_cap, pad=pad, deadline=deadline)
+    """The characteristic poset of F with its catalogue, coords decoded from
+    the element mask; refuses boxes over box_cap cells and raises
+    TimeLimitError once deadline passes."""
+    g, strides, volume, mask = _element_set(F, box_cap, deadline)
+    coords = []
+    for k, idx in enumerate(_bits(mask)):
+        if deadline is not None and not k % 4096:
+            check_deadline(deadline)
+        a = []
+        for s in strides:
+            e, idx = divmod(idx, s)
+            a.append(e)
+        coords.append(tuple(a))
+    coords = tuple(coords)
+    return CharacteristicPoset(len(g), g, strides, volume, coords, mask,
+                               _Catalogue(g, coords, deadline))
 
 
 @dataclass(frozen=True)
@@ -174,8 +176,8 @@ class _Catalogue:
     __slots__ = ("bottom", "top", "rho", "mask", "size", "rows_with",
                  "conflict", "reach")
 
-    def __init__(self, poset: CharacteristicPoset, deadline: float | None):
-        n, g, coords = poset.n, poset.g, poset.coords
+    def __init__(self, g, coords, deadline: float | None):
+        n = len(g)
         index = {a: i for i, a in enumerate(coords)}
         below: list[list] = [[None] * n for _ in coords]  # below[e][j]: e - e_j
         # tops[i] maps each top b of element i's rows to (mask, rho(b)).
@@ -256,24 +258,19 @@ def exists_partition(poset: CharacteristicPoset, d: int,
                      deadline: float | None = None) -> IntervalPartition | None:
     """A partition whose interval tops all have rho >= d, or None if none exists.
 
-    Builds the poset's interval catalogue on first use and keeps it on the
-    poset.  A level d above the catalogue's reach (some element starts no
-    interval with rho >= d) is refuted without search.  Otherwise this is a
-    complete depth-first exact cover search over the catalogue rows with
-    rho >= d: it branches on the uncovered element with the fewest live
-    rows, biggest rows first.  A node is one candidate interval applied;
+    The rows come from poset.catalogue, built with the poset.  A level d
+    above the catalogue's reach (some element starts no interval with
+    rho >= d) is refuted without search.  Otherwise this is a complete
+    depth-first exact cover search over the catalogue rows with rho >= d:
+    it branches on the uncovered element with the fewest live rows, biggest
+    rows first.  A node is one candidate interval applied;
     exceeding node_budget raises SearchBudgetError and a passed deadline
     raises TimeLimitError, both distinct from the None answer.
     """
     n = poset.n
     if not 0 <= d <= n:
         raise ValueError(f"interval-top bound d={d} outside 0..{n}")
-    if not poset.coords:
-        return IntervalPartition(())
-    cat = poset._catalogue
-    if cat is None:
-        cat = _Catalogue(poset, deadline)
-        poset._catalogue = cat
+    cat = poset.catalogue
     if d > cat.reach:
         return None
     rows_with, size = cat.rows_with, cat.size
@@ -343,24 +340,24 @@ def sdepth(F: Factor, *, box_cap: int = DEFAULT_BOX_CAP,
 
 def verify_decomposition(F: Factor, partition: IntervalPartition, d: int,
                          box_cap: int = DEFAULT_BOX_CAP) -> bool:
-    """Certificate check against char_poset(F): disjoint intervals whose union
-    is the element set, every top with rho >= d.  A block holding a cell
-    outside the element set leaves the union unequal to it."""
-    poset = char_poset(F, box_cap=box_cap)
-    g = poset.g
+    """Certificate check against F's element mask: disjoint intervals whose
+    union is the element set, every top with rho >= d.  A block holding a
+    cell outside the element set leaves the union unequal to it.  No
+    coordinates are decoded and no catalogue is built."""
+    g, strides, _, elem_mask = _element_set(F, box_cap, None)
     covered = 0
     for a, b in partition.intervals:
-        if len(a) != poset.n or len(b) != poset.n:
+        if len(a) != len(g) or len(b) != len(g):
             return False
         if any(x < 0 or x > y or y > gj for x, y, gj in zip(a, b, g)):
             return False
         if rho(b, g) < d:
             return False
-        mask = _block_mask(a, b, poset.strides)
+        mask = _block_mask(a, b, strides)
         if covered & mask:  # overlap
             return False
         covered |= mask
-    return covered == poset.elem_mask
+    return covered == elem_mask
 
 
 def decomposition_lines(partition: IntervalPartition, g, names) -> list[str]:

@@ -130,6 +130,16 @@ class TestSdepth:
         assert main(["sdepth", "--no-canon", write(HUGE)]) == EXIT_RESOURCE
         assert "resource limit" in capsys.readouterr().err
 
+    def test_unverified_certificate_exit_code(self, write, capsys, monkeypatch):
+        monkeypatch.setattr("monocanon.cli.verify_decomposition",
+                            lambda *args, **kwargs: False)
+        assert main(["sdepth", write(MAXIMAL)]) == EXIT_VIOLATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "invariance violation: certificate for sdepth = 1 failed verification\n"
+        )
+
 
 class TestCheck:
     def test_file_pass(self, write, capsys):

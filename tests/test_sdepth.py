@@ -1,6 +1,7 @@
 """Characteristic poset, interval partition search, and certificates."""
 
 import itertools
+import sys
 import time
 
 import pytest
@@ -25,6 +26,23 @@ from monocanon import (
     verify_decomposition,
 )
 from monocanon.sdepth import _block_mask
+
+
+def oracle_verify(F, intervals, d) -> bool:
+    """Brute-force certificate check: every interval lies in the box with a
+    top of rho >= d, and the cells of the intervals, listed one by one, are
+    the oracle's members with none repeated."""
+    g, pts = oracle.members(F)
+    cells = []
+    for a, b in intervals:
+        if len(a) != len(g) or len(b) != len(g):
+            return False
+        if not all(0 <= x <= y <= e for x, y, e in zip(a, b, g)):
+            return False
+        if sum(1 for y, e in zip(b, g) if y == e) < d:
+            return False
+        cells += itertools.product(*(range(x, y + 1) for x, y in zip(a, b)))
+    return sorted(cells) == sorted(pts)
 
 
 def oracle_feasible(F, d) -> bool:
@@ -70,10 +88,10 @@ class TestCharPoset:
         P = char_poset(fac("x, y", "x^2, x*y"))
         assert P.elem_mask == sum(1 << P.index_of(a) for a in P.coords)
 
-    @given(helpers.factors(nmax=4, emax=3), st.integers(0, 1))
-    def test_elements_match_box_scan_property(self, F, pad):
-        P = char_poset(F, pad=pad)
-        box = itertools.product(*(range(e + pad + 1) for e in F.join_exponents()))
+    @given(helpers.factors(nmax=4, emax=3))
+    def test_elements_match_box_scan_property(self, F):
+        P = char_poset(F)
+        box = itertools.product(*(range(e + 1) for e in F.join_exponents()))
         assert set(P.coords) == {a for a in box if F.support(a)}
         indices = [P.index_of(a) for a in P.coords]
         assert indices == sorted(set(indices))
@@ -82,11 +100,6 @@ class TestCharPoset:
     def test_box_cap(self):
         with pytest.raises(BoxCapError, match="cap of 10"):
             char_poset(fac("x, y", "x^5*y^5"), box_cap=10)
-
-    def test_pad_grows_the_box(self):
-        P = char_poset(fac("x, y", "x, y"), pad=1)
-        assert P.g == (2, 2)
-        assert P.volume == 9
 
     def test_index_is_lexicographic(self):
         P = char_poset(fac("x, y, z", "x*y*z"))
@@ -131,27 +144,19 @@ class TestExistsPartition:
             exists_partition(P, 2, node_budget=0)
 
     def test_deadline(self):
-        # the box is large enough for the periodic deadline check to fire
-        P = char_poset(fac("x, y", "x, y"), pad=8)
+        # a passed deadline fires at the first candidate scan
+        P = char_poset(fac("x, y", "x, y"))
         with pytest.raises(TimeLimitError):
             exists_partition(P, 1, deadline=time.monotonic() - 1.0)
 
     def test_deadline_overshoot_on_a_raw_box(self):
         # 7450 elements in a 262,701-cell box; the d=1 search alone runs for
-        # seconds, so the deadline fires in the catalogue build or the search
+        # seconds, so the deadline fires in the search
         P = char_poset(fac("x, y, z", "x^100*y*z, x^50*y*z^50, x^50*y^50*z"))
         start = time.monotonic()
         with pytest.raises(TimeLimitError):
             exists_partition(P, 1, deadline=start + 0.5)
         assert time.monotonic() - start < 2.0
-
-    def test_deadline_during_catalogue_build_leaves_no_catalogue(self):
-        F = fac("x, y, z", "x*y, y*z", "x*y*z^2")
-        P = char_poset(F)
-        with pytest.raises(TimeLimitError):
-            exists_partition(P, 1, deadline=time.monotonic() - 1.0)
-        for d in range(P.n + 1):
-            assert (exists_partition(P, d) is not None) == oracle_feasible(F, d)
 
     @given(helpers.factors(nmax=3, emax=2))
     def test_every_level_matches_oracle(self, F):
@@ -270,6 +275,35 @@ class TestVerifyDecomposition:
     def test_rejects_interval_outside_box(self):
         bad = IntervalPartition((((0, 1), (0, 5)), ((1, 0), (1, 1))))
         assert not verify_decomposition(self.F, bad, 1)
+
+    @given(helpers.factors(nmax=3, emax=3), st.data())
+    def test_verdicts_match_brute_force(self, F, data):
+        d, cert = sdepth(F)
+        ivs = cert.intervals
+        i = data.draw(st.integers(0, len(ivs) - 1))
+        a, b = ivs[i]
+        j = data.draw(st.integers(0, F.n - 1))
+        raised = b[:j] + (b[j] + 1,) + b[j + 1:]
+        cases = [
+            (ivs, d),
+            (ivs[:i] + ivs[i + 1:], d),  # one interval dropped
+            (ivs + ivs[i:i + 1], d),  # one interval twice
+            (ivs[:i] + ((a, raised),) + ivs[i + 1:], d),  # one top raised
+            (ivs, d + 1),
+        ]
+        verdicts = [verify_decomposition(F, IntervalPartition(p), k) for p, k in cases]
+        assert verdicts == [oracle_verify(F, p, k) for p, k in cases]
+        assert verdicts[0]
+
+    def test_builds_no_catalogue(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("verify_decomposition built a catalogue")
+
+        # the package attribute monocanon.sdepth is the function, not the module
+        monkeypatch.setattr(sys.modules["monocanon.sdepth"], "_Catalogue", refuse)
+        with pytest.raises(AssertionError, match="built a catalogue"):
+            char_poset(self.F)
+        assert verify_decomposition(self.F, self.cert, self.d)
 
 
 class TestDecompositionLines:
