@@ -3,9 +3,10 @@
 Every timing uses the monotonic clock.  When the raw side hits the timeout
 its elapsed time is still recorded and the speedup becomes a lower bound;
 when the canonical side hits it there is no speedup.  Any other resource
-limit, such as a box over the cap, is raised rather than timed.
-Computed values must agree between the raw and canonical sides whenever
-both finished; a report that violates that is an error, not data.
+limit, such as a box over the cap, is raised rather than timed.  Depth is
+over Q, and a timed sdepth run includes verify_decomposition of its
+certificate.  A failed check, or raw and canonical values that differ when
+both finished, is an error, not data.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import asdict, dataclass
 from .canonical import canonicalize
 from .ideals import Factor
 from .invariance import InvarianceViolation
-from .koszul import FieldChoice, Rationals, depth
+from .koszul import depth
 from .limits import TimeLimitError, box_volume, deadline_from_timeout
 from .parse import format_factor
-from .sdepth import sdepth
+from .sdepth import sdepth, verify_decomposition
 
 
 @dataclass
@@ -92,9 +93,15 @@ def _measure(fn, repeat: int, timeout: float | None) -> SideTiming:
     return SideTiming(value=value, millis=statistics.median(times), timed_out=False)
 
 
+def _verified_sdepth(F: Factor, deadline: float | None) -> int:
+    value, cert = sdepth(F, deadline=deadline)
+    if not verify_decomposition(F, cert, value):
+        raise InvarianceViolation(f"certificate for sdepth = {value} failed verification")
+    return value
+
+
 def run_bench(F: Factor, names, *, label: str = "", repeat: int = 1,
-              timeout: float | None = None,
-              field: FieldChoice = Rationals()) -> BenchReport:
+              timeout: float | None = None) -> BenchReport:
     if repeat < 1:
         raise ValueError(f"repeat must be at least 1, got {repeat}")
     if timeout is not None and not 0 < timeout < math.inf:
@@ -104,19 +111,10 @@ def run_bench(F: Factor, names, *, label: str = "", repeat: int = 1,
     canonical_volume = box_volume(canonical.join_exponents())
 
     metrics: dict[str, MetricBench] = {}
-    plans = {
-        "sdepth": (
-            lambda dl: sdepth(F, deadline=dl)[0],
-            lambda dl: sdepth(canonical, deadline=dl)[0],
-        ),
-        "depth": (
-            lambda dl: depth(F, field, deadline=dl),
-            lambda dl: depth(canonical, field, deadline=dl),
-        ),
-    }
-    for name, (raw_fn, canonical_fn) in plans.items():
-        raw = _measure(raw_fn, repeat, timeout)
-        canon = _measure(canonical_fn, repeat, timeout)
+    plans = {"sdepth": _verified_sdepth, "depth": lambda G, dl: depth(G, deadline=dl)}
+    for name, fn in plans.items():
+        raw = _measure(lambda dl: fn(F, dl), repeat, timeout)
+        canon = _measure(lambda dl: fn(canonical, dl), repeat, timeout)
         if (
             raw.value is not None
             and canon.value is not None

@@ -264,6 +264,9 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -51,12 +51,13 @@ one present subset, the empty one, gives H_0 = 1, and that slice is not
 skipped.
 
 For every computed slice shape, d(d(e)) = 0 is asserted by multiplying the
-boundary maps column by column over their nonzeros (at most n per column).
-Ranks are exact, by one sparse elimination that pivots on a shortest row:
-over the rationals on integers divided by their row content after each
-update, over a prime field modulo p.  The final homology profile is checked
-to be gap-free (Koszul homology is rigid); either check failing raises
-instead of returning wrong data.
+boundary maps column by column over their nonzeros (at most n per column),
+and the ranks are taken on those same sparse columns, as rows of the
+transpose; no dense matrix is built.  Ranks are exact, by one sparse
+elimination that pivots on a shortest row: over the rationals on integers
+divided by their row content after each update, over a prime field modulo
+p.  The final homology profile is checked to be gap-free (Koszul homology
+is rigid); either check failing raises instead of returning wrong data.
 """
 
 from __future__ import annotations
@@ -134,12 +135,12 @@ def parse_field(text: str) -> FieldChoice:
 
 
 def _rank_sparse(rows: list[dict[int, int]], p: int) -> int:
-    """Rank of rows given as {column: nonzero entry}, over GF(p), or over Q
-    when p is 0.  Each step pivots on a shortest row and clears its first
-    column from the rows that have it: row = a * row - b * pivot, with a a
-    unit.  Over Q, a = pv/g and b = e/g for g = gcd(pv, e), and the new row is
-    divided by the gcd of its entries, so the integers stay exact and small.
-    Over GF(p), a = 1, b = e/pv, and entries are reduced mod p."""
+    """Rank of rows given as {column: entry nonzero mod p}, over GF(p), or
+    over Q when p is 0.  Each step pivots on a shortest row and clears its
+    first column from the rows that have it: row = a * row - b * pivot, with
+    a a unit.  Over Q, a = pv/g and b = e/g for g = gcd(pv, e), and the new
+    row is divided by the gcd of its entries, so the integers stay exact and
+    small.  Over GF(p), a = 1, b = e/pv, and new entries are reduced mod p."""
     rank = 0
     rows = [r for r in rows if r]
     while rows:
@@ -180,7 +181,8 @@ def _rank_sparse(rows: list[dict[int, int]], p: int) -> int:
 
 
 def matrix_rank(rows, field: FieldChoice = Rationals()) -> int:
-    """Exact rank of a rectangular matrix over the chosen field."""
+    """Exact rank of a rectangular matrix over the chosen field: the dense
+    front end to _rank_sparse, which reduces the entries first."""
     rows = [list(r) for r in rows]
     if rows:
         width = len(rows[0])
@@ -251,14 +253,10 @@ def homology_profile(n: int, present_mask: int, field: FieldChoice = Rationals()
                     f"internal error: boundary composition d_{i} o d_{i + 1} "
                     f"is nonzero for present mask {present_mask:#x}"
                 )
+    p = field.p if isinstance(field, PrimeField) else 0
     ranks = [0] * (n + 2)
-    for i, mat_cols in cols.items():
-        # the dense matrix ranked is written from the columns checked above
-        rows = [[0] * len(mat_cols) for _ in by_size[i - 1]]
-        for c, col in enumerate(mat_cols):
-            for r, sign in col:
-                rows[r][c] = sign
-        ranks[i] = matrix_rank(rows, field)
+    for i, mat_cols in cols.items():  # rank d_i as its transpose
+        ranks[i] = _rank_sparse([dict(col) for col in mat_cols], p)
     return tuple(len(by_size[i]) - ranks[i] - ranks[i + 1] for i in range(n + 1))
 
 

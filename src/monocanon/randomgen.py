@@ -14,15 +14,15 @@ import random
 from .ideals import Factor, FactorError, MonomialIdeal
 
 
-def random_ideal(rng: random.Random, n: int, gmax: int, max_gens: int = 5) -> MonomialIdeal:
-    count = rng.randint(1, max_gens)
+def random_ideal(rng: random.Random, n: int, gmax: int) -> MonomialIdeal:
+    count = rng.randint(1, 5)
     gens = [tuple(rng.randint(0, gmax) for _ in range(n)) for _ in range(count)]
     return MonomialIdeal(n, gens)
 
 
-def random_factor(rng: random.Random, n: int, gmax: int, max_gens: int = 5) -> Factor:
+def random_factor(rng: random.Random, n: int, gmax: int) -> Factor:
     for _ in range(10000):
-        I = random_ideal(rng, n, gmax, max_gens)
+        I = random_ideal(rng, n, gmax)
         jgens = []
         for _ in range(rng.randint(0, 3)):
             base = rng.choice(I.gens)

@@ -140,6 +140,14 @@ class TestSdepth:
             "invariance violation: certificate for sdepth = 1 failed verification\n"
         )
 
+    def test_out_of_memory_exit_code(self, write, capsys, monkeypatch):
+        def exhausts(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("monocanon.cli.sdepth", exhausts)
+        assert main(["sdepth", write(MAXIMAL)]) == EXIT_RESOURCE
+        assert capsys.readouterr() == ("", "resource limit: out of memory\n")
+
 
 class TestCheck:
     def test_file_pass(self, write, capsys):
@@ -218,6 +226,13 @@ class TestBench:
         assert err.strip() == (
             f"error: timeout must be a positive number of seconds, got {float(timeout)}"
         )
+
+    def test_unverified_certificate_exit_code(self, write, capsys, monkeypatch):
+        monkeypatch.setattr("monocanon.bench.verify_decomposition",
+                            lambda *args, **kwargs: False)
+        assert main(["bench", write(TWO_VARS)]) == EXIT_VIOLATION
+        assert capsys.readouterr() == (
+            "", "invariance violation: certificate for sdepth = 1 failed verification\n")
 
     def test_a_box_over_the_cap_is_a_resource_limit_not_a_timeout(self, write, capsys):
         # the raw box has 20001^2 cells and is refused at once; the canonical

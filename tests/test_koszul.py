@@ -164,6 +164,66 @@ class TestHomologyDims:
             assert not _matmul_is_zero(d[i], flipped)
 
 
+def _dense_profile(k, mask, rank):
+    """(H_0, ..., H_k) of the present subsets (bit fm of mask) of k axes, from
+    dense boundary matrices ranked by rank: d_i has a row per present
+    (i-1)-subset and a column per present i-subset, and the entry at
+    (S minus j, S) is (-1)^(number of axes of S below j)."""
+    by_size = [[fm for fm in range(1 << k) if mask >> fm & 1 and fm.bit_count() == i]
+               for i in range(k + 1)]
+    ranks = [0] * (k + 2)
+    for i in range(1, k + 1):
+        mat = [[0 if r & ~c else (-1) ** (c & ((c ^ r) - 1)).bit_count()
+                for c in by_size[i]] for r in by_size[i - 1]]
+        ranks[i] = rank(mat) if mat and mat[0] else 0
+    return tuple(len(by_size[i]) - ranks[i] - ranks[i + 1] for i in range(k + 1))
+
+
+def _closure(k, facets):
+    """Bitmask over subset bitmasks of k axes: every face of the facets."""
+    return sum(1 << s for s in range(1 << k) if any(s | f == f for f in facets))
+
+
+@st.composite
+def relative_complexes(draw):
+    """(k, mask): the faces of a relative complex Delta_I minus Delta_J on
+    k <= 6 axes, as a bitmask over subset bitmasks; Delta_I is generated by
+    drawn facets and Delta_J by subsets of those, so Delta_J lies in Delta_I."""
+    k = draw(st.integers(0, 6))
+    face = st.integers(0, (1 << k) - 1)
+    fi = draw(st.lists(face, min_size=1, max_size=6))
+    fj = [f & draw(face) for f in draw(st.lists(st.sampled_from(fi), max_size=3))]
+    return k, _closure(k, fi) & ~_closure(k, fj)
+
+
+# the six-vertex real projective plane: its reduced homology is GF(2) in
+# degrees 1 and 2 over GF(2), and 0 in characteristic other than 2; with the
+# empty face counted, the slice has it at H_2 and H_3
+RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+       (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
+
+FIELDS = [Rationals(), PrimeField(2), PrimeField(3), PrimeField(32003)]
+
+
+class TestHomologyProfileReference:
+    @given(relative_complexes())
+    def test_matches_dense_ranks(self, km):
+        k, mask = km
+        expected = _dense_profile(k, mask, oracle.rank)
+        assert _dense_profile(k, mask, matrix_rank) == expected
+        for field in FIELDS:
+            assert homology_profile(k, mask, field) == _dense_profile(
+                k, mask, lambda rows: matrix_rank(rows, field))
+
+    def test_projective_plane_has_torsion(self):
+        mask = _closure(6, [sum(1 << j for j in f) for f in RP2])
+        assert homology_profile(6, mask) == (0,) * 7
+        for field in FIELDS[1:]:
+            dims = (0, 0, 1, 1, 0, 0, 0) if field.p == 2 else (0,) * 7
+            assert homology_profile(6, mask, field) == dims
+            assert _dense_profile(6, mask, lambda rows: matrix_rank(rows, field)) == dims
+
+
 class TestLcmLattice:
     @given(st.data())
     def test_matches_lcms_of_all_subsets(self, data):
