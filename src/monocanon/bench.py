@@ -56,19 +56,6 @@ class BenchReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "BenchReport":
-        metrics = {
-            name: MetricBench(
-                raw=SideTiming(**m["raw"]),
-                canonical=SideTiming(**m["canonical"]),
-                speedup=m["speedup"],
-                speedup_is_lower_bound=m["speedup_is_lower_bound"],
-            )
-            for name, m in data["metrics"].items()
-        }
-        return cls(**{**data, "metrics": metrics})
-
 
 def _measure(fn, repeat: int, timeout: float | None) -> SideTiming:
     """Median wall time over `repeat` runs; a timed-out run ends the series."""
@@ -93,11 +80,13 @@ def _measure(fn, repeat: int, timeout: float | None) -> SideTiming:
     return SideTiming(value=value, millis=statistics.median(times), timed_out=False)
 
 
-def _verified_sdepth(F: Factor, deadline: float | None) -> int:
+def _verified_sdepth(F: Factor, deadline: float | None = None):
+    """(sdepth, certificate) of F; a certificate that fails verification
+    raises InvarianceViolation."""
     value, cert = sdepth(F, deadline=deadline)
     if not verify_decomposition(F, cert, value):
         raise InvarianceViolation(f"certificate for sdepth = {value} failed verification")
-    return value
+    return value, cert
 
 
 def run_bench(F: Factor, names, *, label: str = "", repeat: int = 1,
@@ -111,7 +100,8 @@ def run_bench(F: Factor, names, *, label: str = "", repeat: int = 1,
     canonical_volume = box_volume(canonical.join_exponents())
 
     metrics: dict[str, MetricBench] = {}
-    plans = {"sdepth": _verified_sdepth, "depth": lambda G, dl: depth(G, deadline=dl)}
+    plans = {"sdepth": lambda G, dl: _verified_sdepth(G, dl)[0],
+             "depth": lambda G, dl: depth(G, deadline=dl)}
     for name, fn in plans.items():
         raw = _measure(lambda dl: fn(F, dl), repeat, timeout)
         canon = _measure(lambda dl: fn(canonical, dl), repeat, timeout)

@@ -12,13 +12,13 @@ import json
 import random
 import sys
 
-from .bench import run_bench
+from .bench import _verified_sdepth, run_bench
 from .canonical import canonicalize, type_wrt
 from .invariance import FAIL, SKIPPED, InvarianceViolation, check_factor
-from .koszul import Rationals, depth, parse_field
+from .koszul import depth, parse_field
 from .limits import ResourceError
 from .parse import format_factor, format_monomial, parse_problem
-from .sdepth import decomposition_lines, sdepth, verify_decomposition
+from .sdepth import decomposition_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -121,9 +121,7 @@ def cmd_sdepth(args) -> int:
     F = problem.factor()
     names = problem.names
     target = F if args.no_canon else canonicalize(F)
-    value, cert = sdepth(target)
-    if not verify_decomposition(target, cert, value):
-        raise InvarianceViolation(f"certificate for sdepth = {value} failed verification")
+    value, cert = _verified_sdepth(target)
     g = target.join_exponents()
     lines = [f"sdepth = {value}"]
     if not args.no_canon:

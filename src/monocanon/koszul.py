@@ -44,15 +44,14 @@ only: bit t of a subset stands for the t-th support axis.  The homology of a
 slice depends only on its family of subsets, so slices with the same family
 on different support axes share one profile: the per-scan cache is keyed by
 the family coded over k axes, and each profile, computed in k variables, is
-padded with zeros to length n + 1 (H_i = 0 for i > k).  A family that is the
-whole power set of k >= 1 axes is the full Koszul complex of K[x_j : j in
-supp(a)], which is exact, so that slice is skipped.  At a = 0 (k = 0) the
-one present subset, the empty one, gives H_0 = 1, and that slice is not
-skipped.
+padded with zeros to length n + 1 (H_i = 0 for i > k).
 
-For every computed slice shape, d(d(e)) = 0 is asserted by multiplying the
-boundary maps column by column over their nonzeros (at most n per column),
-and the ranks are taken on those same sparse columns, as rows of the
+Each slice shape's boundary maps are built once, in one pass over its
+present subsets in increasing mask order, as sparse columns keyed by subset:
+d_i maps S to {S minus j: sign(j, S)}, and a face is present iff it is
+already a key of d_(i-1).  On those columns d(d(e)) = 0 is asserted by
+multiplying the maps column by column over their nonzeros (at most n per
+column), and the ranks are taken on the same columns, as rows of the
 transpose; no dense matrix is built.  Ranks are exact, by one sparse
 elimination that pivots on a shortest row: over the rationals on integers
 divided by their row content after each update, over a prime field modulo
@@ -103,6 +102,8 @@ def _is_prime(p: int) -> bool:
 class Rationals:
     """The field Q; ranks are computed fraction-free over the integers."""
 
+    p = 0  # the characteristic: a class constant, not a dataclass field
+
     def __str__(self):
         return "Q"
 
@@ -134,9 +135,9 @@ def parse_field(text: str) -> FieldChoice:
     raise ValueError(f"unrecognized field {text!r}; use 'q' or 'p<prime>'")
 
 
-def _rank_sparse(rows: list[dict[int, int]], p: int) -> int:
-    """Rank of rows given as {column: entry nonzero mod p}, over GF(p), or
-    over Q when p is 0.  Each step pivots on a shortest row and clears its
+def _rank_sparse(rows, p: int) -> int:
+    """Rank of rows, an iterable of {column: entry nonzero mod p}, over GF(p),
+    or over Q when p is 0.  Each step pivots on a shortest row and clears its
     first column from the rows that have it: row = a * row - b * pivot, with
     a a unit.  Over Q, a = pv/g and b = e/g for g = gcd(pv, e), and the new
     row is divided by the gcd of its entries, so the integers stay exact and
@@ -184,10 +185,8 @@ def matrix_rank(rows, field: FieldChoice = Rationals()) -> int:
     """Exact rank of a rectangular matrix over the chosen field: the dense
     front end to _rank_sparse, which reduces the entries first."""
     rows = [list(r) for r in rows]
-    if rows:
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged matrix")
     if not rows or not rows[0]:
         return 0
     if set(map(type, chain.from_iterable(rows))) != {int}:
@@ -197,20 +196,19 @@ def matrix_rank(rows, field: FieldChoice = Rationals()) -> int:
             den = math.lcm(*(f.denominator for f in fr))
             ints.append([int(f * den) for f in fr])
         rows = ints
-    p = field.p if isinstance(field, PrimeField) else 0
-    if p:
-        rows = [[e % p for e in r] for r in rows]
-    return _rank_sparse([{c: e for c, e in enumerate(r) if e} for r in rows], p)
+    if field.p:
+        rows = [[e % field.p for e in r] for r in rows]
+    return _rank_sparse([{c: e for c, e in enumerate(r) if e} for r in rows], field.p)
 
 
 def _matmul_is_zero(A, B) -> bool:
-    """True iff the product A B is zero, for A and B given by their columns,
-    each a list of (row, nonzero entry) pairs.  A boundary column has at most
-    n nonzeros, so each column of A B costs at most n^2 products."""
-    for col in B:
+    """True iff the product A B is zero, for A and B given as {column:
+    {row: nonzero entry}}.  A boundary column has at most n nonzeros, so each
+    column of A B costs at most n^2 products."""
+    for col in B.values():
         acc: dict[int, int] = {}
-        for k, v in col:
-            for r, w in A[k]:
+        for k, v in col.items():
+            for r, w in A[k].items():
                 acc[r] = acc.get(r, 0) + v * w
         if any(acc.values()):
             return False
@@ -220,44 +218,36 @@ def _matmul_is_zero(A, B) -> bool:
 def homology_profile(n: int, present_mask: int, field: FieldChoice = Rationals()
                      ) -> tuple[int, ...]:
     """Dimensions (H_0, ..., H_n) of the slice complex with the given present
-    subsets; bit fm of present_mask says subset-bitmask fm is present."""
-    by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    subsets; bit S of present_mask says subset-bitmask S is present."""
+    # d[i]: each present i-subset S, in ascending order, to its boundary
+    # column {S minus j: sign(j, S)} over the faces already in d[i - 1]
+    d: list[dict[int, dict[int, int]]] = [{} for _ in range(n + 1)]
     pm = present_mask
     while pm:
         low = pm & -pm
-        fm = low.bit_length() - 1
-        by_size[fm.bit_count()].append(fm)  # ascending within each size
+        S = low.bit_length() - 1
         pm ^= low
-    cols: dict[int, list[list[tuple[int, int]]]] = {}
-    for i in range(1, n + 1):
-        if not by_size[i] or not by_size[i - 1]:
-            continue
-        rowpos = {fm: r for r, fm in enumerate(by_size[i - 1])}
-        cols[i] = []
-        for fm in by_size[i]:
-            col = []
-            sign = 1
-            rem = fm
-            while rem:
-                low = rem & -rem
-                r = rowpos.get(fm ^ low)
-                if r is not None:
-                    col.append((r, sign))
-                sign = -sign
-                rem ^= low
-            cols[i].append(col)
-    for i in range(1, n):  # boundary composition must vanish, slice by slice
-        if i in cols and i + 1 in cols:
-            if not _matmul_is_zero(cols[i], cols[i + 1]):
+        i = S.bit_count()
+        faces = d[i - 1]  # unused when i == 0: S has no bits
+        col, sign, rem = {}, 1, S
+        while rem:
+            bit = rem & -rem
+            face = S ^ bit
+            if face in faces:
+                col[face] = sign
+            sign = -sign
+            rem ^= bit
+        d[i][S] = col
+    ranks = [0] * (n + 2)
+    for i in range(1, n + 1):  # empty maps need no check and have rank 0
+        if d[i]:
+            if i < n and d[i + 1] and not _matmul_is_zero(d[i], d[i + 1]):
                 raise RuntimeError(
                     f"internal error: boundary composition d_{i} o d_{i + 1} "
                     f"is nonzero for present mask {present_mask:#x}"
                 )
-    p = field.p if isinstance(field, PrimeField) else 0
-    ranks = [0] * (n + 2)
-    for i, mat_cols in cols.items():  # rank d_i as its transpose
-        ranks[i] = _rank_sparse([dict(col) for col in mat_cols], p)
-    return tuple(len(by_size[i]) - ranks[i] - ranks[i + 1] for i in range(n + 1))
+            ranks[i] = _rank_sparse(d[i].values(), field.p)  # d_i as its transpose
+    return tuple(len(d[i]) - ranks[i] - ranks[i + 1] for i in range(n + 1))
 
 
 def _rank_coding(F: Factor, *extra):
@@ -339,7 +329,6 @@ def depth(F: Factor, field: FieldChoice = Rationals(), *, pad: int = 0,
     gens, _, fields, decode = _rank_coding(F)
     points = sorted(_lcm_lattice(gens[0], deadline) | _lcm_lattice(gens[1], deadline))
     n = F.n
-    zero_profile = (0,) * (n + 1)
     cache: dict[int, tuple[int, ...]] = {}
     nz: set[int] = set()  # indices i with H_i nonzero in some slice
     for count, c in enumerate(points):
@@ -348,14 +337,10 @@ def depth(F: Factor, field: FieldChoice = Rationals(), *, pad: int = 0,
         k, pm = _present_mask(c, fields, gens)
         if pm == 0:
             continue
-        if k and pm == (1 << (1 << k)) - 1:
-            # the full Koszul complex on the k >= 1 support axes: exact
-            prof = zero_profile
-        else:
-            prof = cache.get(pm)
-            if prof is None:
-                # subsets of k axes leave H_i = 0 for i > k
-                prof = cache[pm] = homology_profile(k, pm, field) + (0,) * (n - k)
+        prof = cache.get(pm)
+        if prof is None:
+            # subsets of k axes leave H_i = 0 for i > k
+            prof = cache[pm] = homology_profile(k, pm, field) + (0,) * (n - k)
         if trace is not None:
             trace(decode(c), pm.bit_count(), prof)
         for i, h in enumerate(prof):

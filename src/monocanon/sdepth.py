@@ -8,15 +8,15 @@ rho(b) = #{j : b_j = g_j} over the interval tops; the Stanley depth of I/J
 is the best achievable minimum over all interval partitions
 (Herzog-Vladoiu-Zheng, J. Algebra 2009).
 
-char_poset builds the poset and its catalogue together.  exists_partition
-decides one level d as an exact cover problem whose rows come from that
-catalogue: for every element a, each interval [a, b] inside the element set
-whose top has every b_j in {a_j, g_j}.  Elements are numbered in lex order;
-a row stores the elements it covers as a bitmask, and an element stores the
-rows that contain it as a bitmask.  The search is Algorithm X on those
-bitsets (Knuth, Dancing Links, 2000): it branches on the uncovered element
-with the fewest rows still compatible with the choices made so far, biggest
-intervals first.  The search is complete and the catalogue loses no
+char_poset builds one frozen record: the poset together with the rows of
+its exact cover, for every element a each interval [a, b] inside the element
+set whose top has every b_j in {a_j, g_j}.  exists_partition decides one
+level d as an exact cover problem over those rows.  Elements are numbered in
+lex order; a row stores the elements it covers as a bitmask, and an element
+stores the rows that contain it as a bitmask.  The search is Algorithm X on
+those bitsets (Knuth, Dancing Links, 2000): it branches on the uncovered
+element with the fewest rows still compatible with the choices made so far,
+biggest intervals first.  The search is complete and the rows lose no
 partition, so sdepth below is exact.  verify_decomposition checks a
 certificate against the element mask alone.
 """
@@ -91,9 +91,19 @@ def _element_set(F: Factor, box_cap: int, deadline: float | None):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class CharacteristicPoset:
-    """Multidegrees of I minus J inside the box [0, g], with their interval
-    catalogue.  coords lists the elements in lex order, which is the order of
-    their cell indices (see _element_set)."""
+    """Multidegrees of I minus J inside the box [0, g], with the rows of the
+    exact cover: every interval [a, b] inside the element set with each b_j
+    in {a_j, g_j}.
+
+    coords lists the elements in lex order, which is the order of their cell
+    indices (see _element_set).  Row r is [coords[row_bottom[r]], row_top[r]];
+    rows are numbered in lex order of their bottoms.  row_mask[r] has bit e
+    for each element e (numbered as in coords) that the row covers,
+    rows_with[e] has bit r for each row that covers element e, and
+    conflict[r], filled on first use by conflicts, has a bit for every row
+    that meets row r.  reach is the largest d for which every element is the
+    bottom of some row with rho >= d.
+    """
 
     n: int
     g: Monomial
@@ -101,20 +111,46 @@ class CharacteristicPoset:
     volume: int
     coords: tuple[Monomial, ...]
     elem_mask: int
-    catalogue: _Catalogue
+    row_bottom: list[int]
+    row_top: list[Monomial]
+    row_rho: list[int]
+    row_mask: list[int]
+    row_size: list[int]
+    rows_with: list[int]
+    conflict: list[int | None]
+    reach: int
 
     def index_of(self, a) -> int:
         return sum(e * s for e, s in zip(a, self.strides))
 
+    def conflicts(self, r: int, deadline: float | None) -> int:
+        c = self.conflict[r]
+        if c is None:
+            c = 0
+            for k, e in enumerate(_bits(self.row_mask[r])):
+                if not k % 256:
+                    check_deadline(deadline)
+                c |= self.rows_with[e]
+            self.conflict[r] = c
+        return c
 
+
+# Restricting tops to b_j in {a_j, g_j} loses no partition.  Take any
+# interval [a, b] of a partition and a coordinate j with a_j <= b_j < g_j.
+# Split [a, b] into the slices with x_j = t for t = a_j, ..., b_j.  Each
+# slice has coordinate j fixed, its top has the same rho as b (coordinate j
+# was off the bound before and stays off it), and it lies inside [a, b], so
+# inside the element set.  Splitting along every such j leaves intervals
+# whose tops have each coordinate either fixed at the bottom or on g.
 def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
                deadline: float | None = None) -> CharacteristicPoset:
-    """The characteristic poset of F with its catalogue, coords decoded from
-    the element mask; refuses boxes over box_cap cells and raises
-    TimeLimitError once deadline passes."""
-    g, strides, volume, mask = _element_set(F, box_cap, deadline)
+    """The characteristic poset of F with its rows, coords decoded from the
+    element mask; refuses boxes over box_cap cells and raises TimeLimitError
+    once deadline passes."""
+    g, strides, volume, elem_mask = _element_set(F, box_cap, deadline)
+    n = len(g)
     coords = []
-    for k, idx in enumerate(_bits(mask)):
+    for k, idx in enumerate(_bits(elem_mask)):
         if deadline is not None and not k % 4096:
             check_deadline(deadline)
         a = []
@@ -123,8 +159,67 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
             a.append(e)
         coords.append(tuple(a))
     coords = tuple(coords)
-    return CharacteristicPoset(len(g), g, strides, volume, coords, mask,
-                               _Catalogue(g, coords, deadline))
+
+    index = {a: i for i, a in enumerate(coords)}
+    below: list[list] = [[None] * n for _ in coords]  # below[e][j]: e - e_j
+    # tops[i] maps each top b of element i's rows to (mask, rho(b)).
+    # [a, b'] with b'_j = g_j > a_j = b_j is [a, b] plus [a + e_j, b'], a row
+    # of a lex-later element, so rows are built from the last element down,
+    # each only from a smaller row that fits (Apriori).
+    tops: list[dict] = [None] * len(coords)
+    for i in range(len(coords) - 1, -1, -1):
+        if not i % 64:
+            check_deadline(deadline)
+        a = coords[i]
+        up = [index.get(a[:j] + (a[j] + 1,) + a[j + 1:]) for j in range(n)]
+        for j, k in enumerate(up):
+            if k is not None:
+                below[k][j] = i
+        rows = {a: (1 << i, sum(1 for x, y in zip(a, g) if x == y))}
+        grow = [(a, 0)]  # (top, first axis that may still be raised)
+        for b, start in grow:
+            m, r = rows[b]
+            for j in range(start, n):
+                k = up[j]
+                if k is None:
+                    continue
+                raised = b[:j] + (g[j],) + b[j + 1:]
+                above = tops[k].get(raised)
+                if above is not None:
+                    rows[raised] = (m | above[0], r + 1)
+                    grow.append((raised, j + 1))
+        tops[i] = rows
+
+    bottom, top, row_rho, mask = [], [], [], []
+    first = [0] * (len(coords) + 1)
+    reach = n
+    for i, rows in enumerate(tops):
+        if not i % 64:
+            check_deadline(deadline)
+        for b, (m, r) in rows.items():
+            bottom.append(i)
+            top.append(b)
+            row_rho.append(r)
+            mask.append(m)
+        first[i + 1] = len(top)
+        reach = min(reach, row_rho[-1])  # rows grow one raised axis at a time
+    # A row [a, b] with a_j < e_j covers e iff it covers e - e_j and b_j = g_j,
+    # so rows_with[e] is e's own rows plus, for each j, the rows of e - e_j
+    # that are raised on axis j.
+    on_bound = [_mask_of((r for r, b in enumerate(top) if b[j] == g[j]), len(top))
+                for j in range(n)]
+    rows_with = []
+    for e in range(len(coords)):
+        if not e % 64:
+            check_deadline(deadline)
+        w = ((1 << (first[e + 1] - first[e])) - 1) << first[e]
+        for k, bound in zip(below[e], on_bound):
+            if k is not None:
+                w |= rows_with[k] & bound
+        rows_with.append(w)
+    return CharacteristicPoset(
+        n, g, strides, volume, coords, elem_mask, bottom, top, row_rho, mask,
+        [m.bit_count() for m in mask], rows_with, [None] * len(top), reach)
 
 
 @dataclass(frozen=True)
@@ -154,114 +249,15 @@ def _mask_of(positions, nbits: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-# Restricting tops to b_j in {a_j, g_j} loses no partition.  Take any
-# interval [a, b] of a partition and a coordinate j with a_j <= b_j < g_j.
-# Split [a, b] into the slices with x_j = t for t = a_j, ..., b_j.  Each
-# slice has coordinate j fixed, its top has the same rho as b (coordinate j
-# was off the bound before and stays off it), and it lies inside [a, b], so
-# inside the element set.  Splitting along every such j leaves intervals
-# whose tops have each coordinate either fixed at the bottom or on g.
-class _Catalogue:
-    """The rows of the exact cover: every interval [a, b] inside the element
-    set with each b_j in {a_j, g_j}.
-
-    Row r is [coords[bottom[r]], top[r]]; rows are numbered in lex order of
-    their bottoms.  mask[r] has bit e for each element e (numbered as in
-    coords) that the row covers, rows_with[e] has bit r for each row that
-    covers element e, and conflict[r], filled on first use, has a bit for
-    every row that meets row r.  reach is the largest d for which every
-    element is the bottom of some row with rho >= d.
-    """
-
-    __slots__ = ("bottom", "top", "rho", "mask", "size", "rows_with",
-                 "conflict", "reach")
-
-    def __init__(self, g, coords, deadline: float | None):
-        n = len(g)
-        index = {a: i for i, a in enumerate(coords)}
-        below: list[list] = [[None] * n for _ in coords]  # below[e][j]: e - e_j
-        # tops[i] maps each top b of element i's rows to (mask, rho(b)).
-        # [a, b'] with b'_j = g_j > a_j = b_j is [a, b] plus [a + e_j, b'],
-        # a row of a lex-later element, so rows are built from the last
-        # element down, each only from a smaller row that fits (Apriori).
-        tops: list[dict] = [None] * len(coords)
-        for i in range(len(coords) - 1, -1, -1):
-            if not i % 64:
-                check_deadline(deadline)
-            a = coords[i]
-            up = [index.get(a[:j] + (a[j] + 1,) + a[j + 1:]) for j in range(n)]
-            for j, k in enumerate(up):
-                if k is not None:
-                    below[k][j] = i
-            rows = {a: (1 << i, sum(1 for x, y in zip(a, g) if x == y))}
-            grow = [(a, 0)]  # (top, first axis that may still be raised)
-            for b, start in grow:
-                m, r = rows[b]
-                for j in range(start, n):
-                    k = up[j]
-                    if k is None:
-                        continue
-                    raised = b[:j] + (g[j],) + b[j + 1:]
-                    above = tops[k].get(raised)
-                    if above is not None:
-                        rows[raised] = (m | above[0], r + 1)
-                        grow.append((raised, j + 1))
-            tops[i] = rows
-
-        self.bottom, self.top, self.rho, self.mask = [], [], [], []
-        first = [0] * (len(coords) + 1)
-        reach = n
-        for i, rows in enumerate(tops):
-            if not i % 64:
-                check_deadline(deadline)
-            for b, (m, r) in rows.items():
-                self.bottom.append(i)
-                self.top.append(b)
-                self.rho.append(r)
-                self.mask.append(m)
-            first[i + 1] = len(self.top)
-            reach = min(reach, self.rho[-1])  # rows grow one raised axis at a time
-        self.size = [m.bit_count() for m in self.mask]
-        # A row [a, b] with a_j < e_j covers e iff it covers e - e_j and
-        # b_j = g_j, so rows_with[e] is e's own rows plus, for each j, the
-        # rows of e - e_j that are raised on axis j.
-        on_bound = [
-            _mask_of((r for r, b in enumerate(self.top) if b[j] == g[j]), len(self.top))
-            for j in range(n)
-        ]
-        self.rows_with = []
-        for e in range(len(coords)):
-            if not e % 64:
-                check_deadline(deadline)
-            w = ((1 << (first[e + 1] - first[e])) - 1) << first[e]
-            for k, bound in zip(below[e], on_bound):
-                if k is not None:
-                    w |= self.rows_with[k] & bound
-            self.rows_with.append(w)
-        self.conflict = [None] * len(self.top)
-        self.reach = reach
-
-    def conflicts(self, r: int, deadline: float | None) -> int:
-        c = self.conflict[r]
-        if c is None:
-            c = 0
-            for k, e in enumerate(_bits(self.mask[r])):
-                if not k % 256:
-                    check_deadline(deadline)
-                c |= self.rows_with[e]
-            self.conflict[r] = c
-        return c
-
-
 def exists_partition(poset: CharacteristicPoset, d: int,
                      node_budget: int = DEFAULT_NODE_BUDGET,
                      deadline: float | None = None) -> IntervalPartition | None:
     """A partition whose interval tops all have rho >= d, or None if none exists.
 
-    The rows come from poset.catalogue, built with the poset.  A level d
-    above the catalogue's reach (some element starts no interval with
-    rho >= d) is refuted without search.  Otherwise this is a complete
-    depth-first exact cover search over the catalogue rows with rho >= d:
+    The rows are the poset's own, built with it.  A level d above the
+    poset's reach (some element starts no interval with rho >= d) is refuted
+    without search.  Otherwise this is a complete depth-first exact cover
+    search over the rows with rho >= d:
     it branches on the uncovered element with the fewest live rows, biggest
     rows first.  A node is one candidate interval applied;
     exceeding node_budget raises SearchBudgetError and a passed deadline
@@ -270,10 +266,9 @@ def exists_partition(poset: CharacteristicPoset, d: int,
     n = poset.n
     if not 0 <= d <= n:
         raise ValueError(f"interval-top bound d={d} outside 0..{n}")
-    cat = poset.catalogue
-    if d > cat.reach:
+    if d > poset.reach:
         return None
-    rows_with, size = cat.rows_with, cat.size
+    rows_with, size = poset.rows_with, poset.row_size
 
     def candidates(uncovered: int, live: int) -> list[int]:
         """Live rows of the uncovered element with the fewest, biggest first."""
@@ -289,7 +284,8 @@ def exists_partition(poset: CharacteristicPoset, d: int,
         return sorted(_bits(rows_with[best] & live), key=lambda r: -size[r])
 
     uncovered = (1 << len(poset.coords)) - 1
-    live = _mask_of((r for r, x in enumerate(cat.rho) if x >= d), len(cat.rho))
+    live = _mask_of((r for r, x in enumerate(poset.row_rho) if x >= d),
+                    len(poset.row_rho))
     stack = [[uncovered, live, candidates(uncovered, live), 0]]
     chosen: list[int] = []
     nodes = 0
@@ -310,13 +306,13 @@ def exists_partition(poset: CharacteristicPoset, d: int,
         if deadline is not None and not nodes % 256:
             check_deadline(deadline)
         r = cands[i]
-        remaining = uncovered & ~cat.mask[r]
+        remaining = uncovered & ~poset.row_mask[r]
         chosen.append(r)
         if remaining == 0:
             return IntervalPartition(tuple(
-                (poset.coords[cat.bottom[c]], cat.top[c]) for c in chosen
+                (poset.coords[poset.row_bottom[c]], poset.row_top[c]) for c in chosen
             ))
-        live &= ~cat.conflicts(r, deadline)
+        live &= ~poset.conflicts(r, deadline)
         stack.append([remaining, live, candidates(remaining, live), 0])
     return None
 
@@ -343,7 +339,7 @@ def verify_decomposition(F: Factor, partition: IntervalPartition, d: int,
     """Certificate check against F's element mask: disjoint intervals whose
     union is the element set, every top with rho >= d.  A block holding a
     cell outside the element set leaves the union unequal to it.  No
-    coordinates are decoded and no catalogue is built."""
+    coordinates are decoded and no rows are built."""
     g, strides, _, elem_mask = _element_set(F, box_cap, None)
     covered = 0
     for a, b in partition.intervals:

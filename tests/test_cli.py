@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour, JSON output, and exit codes."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -131,7 +132,7 @@ class TestSdepth:
         assert "resource limit" in capsys.readouterr().err
 
     def test_unverified_certificate_exit_code(self, write, capsys, monkeypatch):
-        monkeypatch.setattr("monocanon.cli.verify_decomposition",
+        monkeypatch.setattr("monocanon.bench.verify_decomposition",
                             lambda *args, **kwargs: False)
         assert main(["sdepth", write(MAXIMAL)]) == EXIT_VIOLATION
         out, err = capsys.readouterr()
@@ -144,7 +145,7 @@ class TestSdepth:
         def exhausts(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr("monocanon.cli.sdepth", exhausts)
+        monkeypatch.setattr("monocanon.bench.sdepth", exhausts)
         assert main(["sdepth", write(MAXIMAL)]) == EXIT_RESOURCE
         assert capsys.readouterr() == ("", "resource limit: out of memory\n")
 
@@ -207,11 +208,14 @@ class TestBench:
         assert main(["bench", "--json", write(TWO_VARS)]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload.pop("command") == "bench"
-        report = BenchReport.from_dict(payload)
-        assert report.raw_box_volume == 40
-        assert report.canonical_box_volume == 6
-        assert report.metrics["sdepth"].raw.value == report.metrics["sdepth"].canonical.value
-        assert report.to_dict() == payload
+        assert set(payload) == {f.name for f in fields(BenchReport)}
+        assert payload["raw_box_volume"] == 40
+        assert payload["canonical_box_volume"] == 6
+        assert set(payload["metrics"]) == {"sdepth", "depth"}
+        for m in payload["metrics"].values():
+            assert set(m) == {"raw", "canonical", "speedup", "speedup_is_lower_bound"}
+            assert set(m["raw"]) == set(m["canonical"]) == {"value", "millis", "timed_out"}
+            assert m["raw"]["value"] == m["canonical"]["value"]
 
     def test_rejects_zero_repeats(self, write, capsys):
         assert main(["bench", write(TWO_VARS), "--repeat", "0"]) == EXIT_USAGE

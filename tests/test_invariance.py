@@ -119,11 +119,6 @@ class TestBench:
             assert metric.canonical.timed_out
             assert metric.speedup is None
 
-    def test_round_trip(self):
-        report = run_bench(fac("x, y", "x^2, x*y"), ("x", "y"))
-        again = type(report).from_dict(report.to_dict())
-        assert again == report
-
     def test_measure_rejects_unstable_values(self):
         results = iter([1, 2])
 

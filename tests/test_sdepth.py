@@ -300,7 +300,7 @@ class TestVerifyDecomposition:
             raise AssertionError("verify_decomposition built a catalogue")
 
         # the package attribute monocanon.sdepth is the function, not the module
-        monkeypatch.setattr(sys.modules["monocanon.sdepth"], "_Catalogue", refuse)
+        monkeypatch.setattr(sys.modules["monocanon.sdepth"], "CharacteristicPoset", refuse)
         with pytest.raises(AssertionError, match="built a catalogue"):
             char_poset(self.F)
         assert verify_decomposition(self.F, self.cert, self.d)
