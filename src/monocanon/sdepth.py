@@ -11,7 +11,11 @@ is the best achievable minimum over all interval partitions
 char_poset builds one frozen record: the poset together with the rows of
 its exact cover, for every element a each interval [a, b] inside the element
 set whose top has every b_j in {a_j, g_j}.  exists_partition decides one
-level d as an exact cover problem over those rows.  Elements are numbered in
+level d.  It refutes d without search when some element starts no row that
+reaches d, or when (1-t)^d H(t) has a negative coefficient, H(t) being the
+Hilbert series of I/J: a Stanley decomposition of depth >= d makes every
+such coefficient nonnegative (Uliczka, Manuscripta Math. 2010).  Otherwise
+it solves an exact cover problem over the rows.  Elements are numbered in
 lex order; a row stores the elements it covers as a bitmask, and an element
 stores the rows that contain it as a bitmask.  The search is Algorithm X on
 those bitsets (Knuth, Dancing Links, 2000): it branches on the uncovered
@@ -24,6 +28,8 @@ certificate against the element mask alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
+from operator import eq
 
 from .ideals import DimensionError, Factor, Monomial, deglex_key
 from .limits import DEFAULT_BOX_CAP, SearchBudgetError, box_volume, check_deadline
@@ -102,7 +108,8 @@ class CharacteristicPoset:
     rows_with[e] has bit r for each row that covers element e, and
     conflict[r], filled on first use by conflicts, has a bit for every row
     that meets row r.  reach is the largest d for which every element is the
-    bottom of some row with rho >= d.
+    bottom of some row with rho >= d.  degree_counts maps (|a|, rho(a)) to
+    the number of elements a with that degree and rho.
     """
 
     n: int
@@ -119,6 +126,7 @@ class CharacteristicPoset:
     rows_with: list[int]
     conflict: list[int | None]
     reach: int
+    degree_counts: dict[tuple[int, int], int]
 
     def index_of(self, a) -> int:
         return sum(e * s for e, s in zip(a, self.strides))
@@ -149,10 +157,11 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
     once deadline passes."""
     g, strides, volume, elem_mask = _element_set(F, box_cap, deadline)
     n = len(g)
-    coords = []
+    cells, coords = [], []
     for k, idx in enumerate(_bits(elem_mask)):
         if deadline is not None and not k % 4096:
             check_deadline(deadline)
+        cells.append(idx)
         a = []
         for s in strides:
             e, idx = divmod(idx, s)
@@ -160,22 +169,27 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
         coords.append(tuple(a))
     coords = tuple(coords)
 
-    index = {a: i for i, a in enumerate(coords)}
+    index = {c: i for i, c in enumerate(cells)}
     below: list[list] = [[None] * n for _ in coords]  # below[e][j]: e - e_j
     # tops[i] maps each top b of element i's rows to (mask, rho(b)).
     # [a, b'] with b'_j = g_j > a_j = b_j is [a, b] plus [a + e_j, b'], a row
     # of a lex-later element, so rows are built from the last element down,
     # each only from a smaller row that fits (Apriori).
     tops: list[dict] = [None] * len(coords)
+    counts: dict[tuple[int, int], int] = {}
     for i in range(len(coords) - 1, -1, -1):
         if not i % 64:
             check_deadline(deadline)
         a = coords[i]
-        up = [index.get(a[:j] + (a[j] + 1,) + a[j + 1:]) for j in range(n)]
+        c = cells[i]  # a + e_j is cell c + strides[j] while a_j < g_j
+        up = [index.get(c + s) if x < y else None for s, x, y in zip(strides, a, g)]
         for j, k in enumerate(up):
             if k is not None:
                 below[k][j] = i
-        rows = {a: (1 << i, sum(1 for x, y in zip(a, g) if x == y))}
+        r = sum(map(eq, a, g))
+        key = (sum(a), r)
+        counts[key] = counts.get(key, 0) + 1
+        rows = {a: (1 << i, r)}
         grow = [(a, 0)]  # (top, first axis that may still be raised)
         for b, start in grow:
             m, r = rows[b]
@@ -219,7 +233,8 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
         rows_with.append(w)
     return CharacteristicPoset(
         n, g, strides, volume, coords, elem_mask, bottom, top, row_rho, mask,
-        [m.bit_count() for m in mask], rows_with, [None] * len(top), reach)
+        [m.bit_count() for m in mask], rows_with, [None] * len(top), reach,
+        counts)
 
 
 @dataclass(frozen=True)
@@ -249,6 +264,33 @@ def _mask_of(positions, nbits: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+def _hilbert_witness(poset: CharacteristicPoset, d: int) -> int | None:
+    """Lowest degree k where (1-t)^d H(t) has a negative coefficient, or None.
+
+    H(t) = sum over elements a of t^|a| / (1-t)^rho(a).  A term with
+    rho(a) <= d is the polynomial t^|a| (1-t)^(d - rho(a)); one with
+    rho(a) > d is a series with positive coefficients, so only degrees
+    where the polynomials sum to a negative coefficient are checked, each
+    against the series' coefficients there, C(k - |a| + s - 1, k - |a|)
+    with s = rho(a) - d.  With no rho(a) < d, every term is nonnegative.
+    """
+    counts = poset.degree_counts
+    if all(r >= d for _, r in counts):
+        return None
+    poly: dict[int, int] = {}
+    for (k, r), x in counts.items():
+        e = d - r
+        for m in range(e + 1):  # x t^k (1-t)^e, one term at a time
+            poly[k + m] = poly.get(k + m, 0) + x
+            x = x * (m - e) // (m + 1)
+    for k in sorted(k for k, p in poly.items() if p < 0):
+        p = poly[k] + sum(x * comb(k - j + r - d - 1, k - j)
+                          for (j, r), x in counts.items() if r > d and j <= k)
+        if p < 0:
+            return k
+    return None
+
+
 def exists_partition(poset: CharacteristicPoset, d: int,
                      node_budget: int = DEFAULT_NODE_BUDGET,
                      deadline: float | None = None) -> IntervalPartition | None:
@@ -256,8 +298,9 @@ def exists_partition(poset: CharacteristicPoset, d: int,
 
     The rows are the poset's own, built with it.  A level d above the
     poset's reach (some element starts no interval with rho >= d) is refuted
-    without search.  Otherwise this is a complete depth-first exact cover
-    search over the rows with rho >= d:
+    without search, and so is a level d >= 1 at which (1-t)^d H(t) has a
+    negative coefficient (see _hilbert_witness).  Otherwise this is a
+    complete depth-first exact cover search over the rows with rho >= d:
     it branches on the uncovered element with the fewest live rows, biggest
     rows first.  A node is one candidate interval applied;
     exceeding node_budget raises SearchBudgetError and a passed deadline
@@ -267,6 +310,8 @@ def exists_partition(poset: CharacteristicPoset, d: int,
     if not 0 <= d <= n:
         raise ValueError(f"interval-top bound d={d} outside 0..{n}")
     if d > poset.reach:
+        return None
+    if d and _hilbert_witness(poset, d) is not None:
         return None
     rows_with, size = poset.rows_with, poset.row_size
 

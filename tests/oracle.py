@@ -4,14 +4,17 @@ Used as cross-check oracles: membership is recomputed from generator
 divisibility.  The Stanley depth partition search is an exact-cover run
 (Algorithm X, dict-of-sets form) over the full catalogue of admissible
 intervals.  Depth scans the Koszul complex on every cell of the (padded)
-box and takes ranks by Gaussian elimination over Fraction.  Nothing here
-touches the package's poset, search or homology code.
+box and takes ranks by Gaussian elimination over Fraction.  Hilbert series
+coefficients, which certify a refuted Stanley depth level, are summed member
+by member from binomials.  Nothing here touches the package's poset, search
+or homology code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 
 def _divides(u, v) -> bool:
@@ -100,6 +103,22 @@ def oracle_sdepth(F) -> int:
         if exact_cover_exists(pts, rows):
             return d
     return 0  # singletons always cover
+
+
+def oracle_hilbert_coefficient(F, d, k) -> int:
+    """Coefficient of t^k in (1-t)^d H(t), H the Hilbert series of F: each
+    member a adds t^|a| (1-t)^(d - rho(a)), whose t^k coefficient is
+    (-1)^m C(d - rho(a), m) for m = k - |a| when rho(a) <= d, and
+    C(m + rho(a) - d - 1, m) when rho(a) > d."""
+    g, pts = members(F)
+    total = 0
+    for a in pts:
+        m = k - sum(a)
+        if m < 0:
+            continue
+        e = d - sum(1 for x, y in zip(a, g) if x == y)
+        total += (-1) ** m * comb(e, m) if e >= 0 else comb(m - e - 1, m)
+    return total
 
 
 def rank(rows) -> int:

@@ -1,11 +1,13 @@
 """Characteristic poset, interval partition search, and certificates."""
 
+import functools
 import itertools
 import sys
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import helpers
 import oracle
@@ -21,11 +23,12 @@ from monocanon import (
     char_poset,
     decomposition_lines,
     exists_partition,
+    parse_problem,
     rho,
     sdepth,
     verify_decomposition,
 )
-from monocanon.sdepth import _block_mask
+from monocanon.sdepth import _block_mask, _hilbert_witness
 
 
 def oracle_verify(F, intervals, d) -> bool:
@@ -176,6 +179,99 @@ class TestExistsPartition:
             d for d in range(P.n + 1) if exists_partition(P, d) is not None
         ]
         assert feasible == list(range(len(feasible)))
+
+
+@functools.cache
+def squarefree_veronese_poset(n, k):
+    """The characteristic poset of V(n, k); V(n, 1) is m_n."""
+    gens = [tuple(int(j in S) for j in range(n))
+            for S in itertools.combinations(range(n), k)]
+    return char_poset(Factor(MonomialIdeal(n, gens)))
+
+
+def hilbert_bound(P) -> int:
+    """The largest level the Hilbert check leaves standing."""
+    return max(d for d in range(P.n + 1) if not d or _hilbert_witness(P, d) is None)
+
+
+# Raw presentation of the benchmark's wide[1] factor (seed 1): 7,518 elements
+# in a 31 x 41 x 36 box, sdepth 1
+WIDE_1 = """ring f1, f2, f3;
+I = f1^18*f2^40, f1^30*f2^13*f3^14, f1^18*f3^35, f2^26*f3^22;
+J = f1^30*f2^40*f3^35;
+"""
+
+
+class TestHilbertRefutation:
+    @given(helpers.factors())
+    @example(fac("x, y, z", "1", "x*z, y*z, z^2"))
+    def test_witnesses_match_the_oracle_coefficients(self, F):
+        # a witness is the lowest negative coefficient of (1-t)^d H(t); no
+        # witness means none is negative up to the degree where the
+        # polynomial terms end.  In the example, at d=1 the terms with
+        # rho(a) <= 1 alone go negative in degree 2, and x*y (rho 2) lifts
+        # that coefficient back to 0
+        P = char_poset(F)
+        g, pts = oracle.members(F)
+        for d in range(1, P.n + 1):
+            w = _hilbert_witness(P, d)
+            if w is not None:
+                assert oracle.oracle_hilbert_coefficient(F, d, w) < 0
+            ends = [sum(a) + d - rho(a, g) for a in pts if rho(a, g) <= d]
+            end = w if w is not None else max(ends, default=-1) + 1
+            assert all(oracle.oracle_hilbert_coefficient(F, d, k) >= 0
+                       for k in range(end))
+
+    @given(helpers.factors(nmax=4))
+    def test_refuted_levels_are_infeasible(self, F):
+        P = char_poset(F)
+        refuted = [d for d in range(1, P.n + 1) if _hilbert_witness(P, d) is not None]
+        if not refuted:
+            return
+        assert oracle.oracle_sdepth(F) < min(refuted)
+        module = sys.modules["monocanon.sdepth"]
+        with mock.patch.object(module, "_hilbert_witness", return_value=None):
+            for d in refuted:
+                assert exists_partition(P, d) is None
+
+    def test_level_zero_is_never_checked(self):
+        # (1-t)^0 H(t) = H(t) has no negative coefficient, so level 0 spends
+        # no check
+        module = sys.modules["monocanon.sdepth"]
+        P = char_poset(fac("x, y", "x^2, x*y", "x^3"))
+        with mock.patch.object(module, "_hilbert_witness",
+                               side_effect=AssertionError("checked d=0")):
+            assert exists_partition(P, 0) is not None
+
+    @pytest.mark.parametrize("n, k, d", [
+        (8, 1, 5), (9, 1, 6), (8, 3, 5), (8, 2, 5), (7, 2, 4),
+    ])
+    def test_refutes_without_search(self, n, k, d):
+        # each of these took 1.4 s or more of search, and more than 20 s for
+        # most, when only the reach refuted levels
+        P = squarefree_veronese_poset(n, k)
+        assert d <= P.reach
+        assert exists_partition(P, d, node_budget=0) is None
+
+    def test_refutes_a_raw_level_without_search(self):
+        # proving d=2 infeasible by search took about 10 s on this poset
+        P = char_poset(parse_problem(WIDE_1).factor())
+        assert len(P.coords) == 7518
+        assert 2 <= P.reach
+        assert exists_partition(P, 2, node_budget=0) is None
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_bound_on_maximal_ideals(self, n):
+        # sdepth(m_n) = ceil(n/2) (Biro-Howard-Keller-Trotter-Young 2010)
+        assert hilbert_bound(squarefree_veronese_poset(n, 1)) == (n + 1) // 2
+
+    @pytest.mark.parametrize("n, k", [
+        (4, 2), (5, 2), (7, 2), (8, 2), (6, 3), (7, 3), (8, 3), (9, 4),
+    ])
+    def test_bound_on_squarefree_veronese_ideals(self, n, k):
+        # sdepth(V(n, k)) = (n - k) // (k + 1) + k for k <= n < 5k + 4
+        # (Keller-Shen-Streib-Young 2011)
+        assert hilbert_bound(squarefree_veronese_poset(n, k)) == (n - k) // (k + 1) + k
 
 
 class TestSdepth:
