@@ -16,7 +16,7 @@ from .bench import _verified_sdepth, run_bench
 from .canonical import canonicalize, type_wrt
 from .invariance import FAIL, SKIPPED, InvarianceViolation, check_factor
 from .koszul import depth, parse_field
-from .limits import ResourceError
+from .limits import ResourceError, check_deadline, deadline_from_timeout
 from .parse import format_factor, format_monomial, parse_problem
 from .sdepth import decomposition_lines
 
@@ -93,6 +93,7 @@ def cmd_type(args) -> int:
 
 
 def cmd_depth(args) -> int:
+    deadline = deadline_from_timeout(args.timeout)
     problem = _load(args.file)
     F = problem.factor()
     names = problem.names
@@ -104,7 +105,7 @@ def cmd_depth(args) -> int:
             json.dumps({"multidegree": list(a), "present": count, "h": list(dims)}),
             file=sys.stderr,
         )
-    value = depth(target, field, trace=trace)
+    value = depth(target, field, deadline=deadline, trace=trace)
     payload = {
         "command": "depth",
         "value": value,
@@ -117,11 +118,12 @@ def cmd_depth(args) -> int:
 
 
 def cmd_sdepth(args) -> int:
+    deadline = deadline_from_timeout(args.timeout)
     problem = _load(args.file)
     F = problem.factor()
     names = problem.names
     target = F if args.no_canon else canonicalize(F)
-    value, cert = _verified_sdepth(target)
+    value, cert = _verified_sdepth(target, deadline)
     g = target.join_exponents()
     lines = [f"sdepth = {value}"]
     if not args.no_canon:
@@ -147,6 +149,7 @@ def cmd_sdepth(args) -> int:
 def cmd_check(args) -> int:
     if (args.file is None) == (args.random is None):
         raise UsageError("check needs a file or --random N GMAX COUNT SEED")
+    deadline = deadline_from_timeout(args.timeout)
     rng: random.Random
     jobs = []
     if args.file is not None:
@@ -162,7 +165,11 @@ def cmd_check(args) -> int:
 
         for i in range(count):
             jobs.append((f"random[{i}]", random_factor(rng, n, gmax)))
-    records = [check_factor(label, F, rng) for label, F in jobs]
+    records = []
+    for label, F in jobs:
+        # a check cut off by the deadline is SKIPPED; the command stops there
+        records.append(check_factor(label, F, rng, deadline=deadline))
+        check_deadline(deadline)
     payload = {
         "command": "check",
         "results": [
@@ -219,32 +226,35 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="monocanon", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, timeout_help=None):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true", help="emit one JSON object")
+        if timeout_help:
+            p.add_argument("--timeout", type=float, default=None, help=timeout_help)
         return p
+
+    whole = "wall-clock seconds for the whole command (exit 3 when exceeded)"
 
     p = add("canon", cmd_canon, "canonical form plus per-variable types")
     p.add_argument("file")
     p = add("type", cmd_type, "per-variable types of the factor")
     p.add_argument("file")
-    p = add("depth", cmd_depth, "exact depth via Koszul homology")
+    p = add("depth", cmd_depth, "exact depth via Koszul homology", whole)
     p.add_argument("file")
     p.add_argument("--no-canon", action="store_true", help="skip canonicalization")
     p.add_argument("--field", default="q", help="q (rationals) or p<prime>")
     p.add_argument("--trace", action="store_true",
                    help="one JSON record on stderr per scanned lcm-lattice slice")
-    p = add("sdepth", cmd_sdepth, "exact Stanley depth with certificate")
+    p = add("sdepth", cmd_sdepth, "exact Stanley depth with certificate", whole)
     p.add_argument("file")
     p.add_argument("--no-canon", action="store_true", help="skip canonicalization")
-    p = add("check", cmd_check, "depth/sdepth invariance under the transforms")
+    p = add("check", cmd_check, "depth/sdepth invariance under the transforms", whole)
     p.add_argument("file", nargs="?")
     p.add_argument("--random", nargs=4, type=int, metavar=("N", "GMAX", "COUNT", "SEED"))
-    p = add("bench", cmd_bench, "raw versus canonical timings")
+    p = add("bench", cmd_bench, "raw versus canonical timings", "seconds per run")
     p.add_argument("file")
     p.add_argument("--repeat", type=int, default=1)
-    p.add_argument("--timeout", type=float, default=None, help="seconds per run")
     return parser
 
 

@@ -8,6 +8,7 @@ immutable by construction and every operation returns fresh values.
 
 from __future__ import annotations
 
+from itertools import groupby
 from operator import le
 
 Monomial = tuple[int, ...]
@@ -46,10 +47,10 @@ def minimalize(gens) -> tuple[Monomial, ...]:
             raise DimensionError(f"cannot compare exponent vectors of lengths "
                                  f"{len(ms[0])} and {len(m)}")
     out: list[Monomial] = []
-    # ascending degree: a kept generator can divide a later one, never vice versa
-    for m in ms:
-        if not any(all(map(le, k, m)) for k in out):
-            out.append(m)
+    # ascending degree: only a kept generator of lower degree can divide m,
+    # because distinct monomials of equal degree never divide each other
+    for _, same_degree in groupby(ms, key=sum):
+        out += [m for m in same_degree if not any(all(map(le, k, m)) for k in out)]
     return tuple(out)
 
 

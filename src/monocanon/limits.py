@@ -1,5 +1,6 @@
 """Resource limits shared by the poset and homology engines."""
 
+import math
 import time
 
 # Largest bounding box [0, g], in cells, that the poset and homology engines build.
@@ -33,8 +34,13 @@ def box_volume(g, box_cap: int | None = None, what: str = "box") -> int:
 
 
 def deadline_from_timeout(seconds):
-    """Absolute monotonic deadline for a timeout in seconds (None passes through)."""
-    return None if seconds is None else time.monotonic() + seconds
+    """Absolute monotonic deadline for a timeout in seconds (None passes
+    through); ValueError unless seconds is a positive finite number."""
+    if seconds is None:
+        return None
+    if not 0 < seconds < math.inf:
+        raise ValueError(f"timeout must be a positive number of seconds, got {seconds}")
+    return time.monotonic() + seconds
 
 
 def check_deadline(deadline):

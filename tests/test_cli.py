@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour, JSON output, and exit codes."""
 
 import json
+import time
 from dataclasses import fields
 
 import pytest
@@ -180,7 +181,7 @@ class TestCheck:
 
         monkeypatch.setattr(
             "monocanon.cli.check_factor",
-            lambda label, F, rng: CheckRecord(label, FAIL, reason="forced"),
+            lambda label, F, rng, **limits: CheckRecord(label, FAIL, reason="forced"),
         )
         assert main(["check", write(MAXIMAL)]) == EXIT_VIOLATION
         assert "FAIL" in capsys.readouterr().out
@@ -249,6 +250,33 @@ class TestBench:
             "resource limit: characteristic box has 400040001 cells, "
             "over the cap of 100000000\n"
         )
+
+
+class TestTimeout:
+    @pytest.mark.parametrize("command", ["depth", "sdepth", "check"])
+    def test_a_passed_deadline_is_a_resource_limit(self, command, write, capsys,
+                                                   monkeypatch):
+        # the deadline is patched into the past, so no timing is involved
+        monkeypatch.setattr("monocanon.cli.deadline_from_timeout",
+                            lambda seconds: time.monotonic() - 1.0)
+        assert main([command, write(QUOTIENT), "--timeout", "60"]) == EXIT_RESOURCE
+        assert capsys.readouterr() == ("", "resource limit: wall-clock deadline exceeded\n")
+
+    @pytest.mark.parametrize("command", ["depth", "sdepth", "check"])
+    def test_a_generous_timeout_changes_nothing(self, command, write, capsys):
+        path = write(QUOTIENT)
+        assert main([command, path]) == EXIT_OK
+        plain = capsys.readouterr()
+        assert main([command, path, "--timeout", "60"]) == EXIT_OK
+        assert capsys.readouterr() == plain
+
+    @pytest.mark.parametrize("command", ["depth", "sdepth", "check"])
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+    def test_rejects_a_timeout_that_is_not_positive_and_finite(self, command, timeout,
+                                                              write, capsys):
+        assert main([command, write(QUOTIENT), "--timeout", timeout]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", (
+            f"error: timeout must be a positive number of seconds, got {float(timeout)}\n"))
 
 
 class TestUsage:

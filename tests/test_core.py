@@ -1,7 +1,7 @@
 """Monomials, ideals, factors, and the ideal file grammar."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import helpers
 from helpers import fac, gens_of, ideal
@@ -66,6 +66,16 @@ class TestMinimalize:
             for j, b in enumerate(gens):
                 if i != j:
                     assert not divides(a, b)
+
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=12)))
+    def test_matches_brute_force_minimal_set(self, gens):
+        # every pair compared, equal degrees and duplicates included
+        distinct = set(gens)
+        minimal = [m for m in distinct
+                   if not any(k != m and divides(k, m) for k in distinct)]
+        assert minimalize(gens) == tuple(
+            sorted(minimal, key=lambda m: (sum(m), tuple(-e for e in m))))
 
 
 class TestMonomialIdeal:

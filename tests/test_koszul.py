@@ -239,6 +239,49 @@ class TestHomologyProfileReference:
             assert _dense_profile(6, mask, lambda rows: matrix_rank(rows, field)) == dims
 
 
+class TestMorseReadOff:
+    """Slices whose critical cells have no two in adjacent degrees are read
+    off the element matching; the others fall back to ranked boundary maps."""
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_tables_match_listed_subsets(self, k):
+        free, layer = koszul._morse_tables(k)
+        subsets = range(1 << k)
+        assert free == tuple(sum(1 << S for S in subsets if not S >> t & 1)
+                             for t in range(k))
+        assert layer == tuple(sum(1 << S for S in subsets if S.bit_count() == i)
+                              for i in range(k + 1))
+
+    @pytest.mark.parametrize("field", [Rationals(), PrimeField(32003)], ids=str)
+    @pytest.mark.parametrize("n, k, value", [(8, 1, 1), (8, 4, 4), (9, 4, 4), (9, 3, 3),
+                                             (12, 1, 1)])
+    def test_ladder_needs_no_rank(self, n, k, value, field, monkeypatch):
+        def no_rank(*args):
+            raise AssertionError("a slice was ranked")
+
+        monkeypatch.setattr(koszul, "_rank_sparse", no_rank)
+        assert depth(_veronese(n, k), field, deadline=time.monotonic() + 30.0) == value
+
+    def test_projective_plane_reaches_the_fallback(self, monkeypatch):
+        calls = []
+        real = koszul._rank_sparse
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(koszul, "_rank_sparse", counted)
+        mask = _closure(6, [sum(1 << j for j in f) for f in RP2])
+        assert homology_profile(6, mask, PrimeField(2)) == (0, 0, 1, 1, 0, 0, 0)
+        assert len(calls) > 0
+
+    def test_fallback_keeps_the_boundary_composition_check(self, monkeypatch):
+        monkeypatch.setattr(koszul, "_matmul_is_zero", lambda A, B: False)
+        mask = _closure(6, [sum(1 << j for j in f) for f in RP2])
+        with pytest.raises(RuntimeError, match="boundary composition"):
+            homology_profile(6, mask, PrimeField(2))
+
+
 class TestLcmLattice:
     @given(st.data())
     def test_matches_lcms_of_all_subsets(self, data):
