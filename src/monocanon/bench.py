@@ -21,7 +21,7 @@ from .invariance import InvarianceViolation
 from .koszul import depth
 from .limits import TimeLimitError, box_volume, deadline_from_timeout
 from .parse import format_factor
-from .sdepth import sdepth, verify_decomposition
+from .sdepth import DEFAULT_NODE_BUDGET, sdepth, verify_decomposition
 
 
 @dataclass
@@ -79,11 +79,12 @@ def _measure(fn, repeat: int, timeout: float | None) -> SideTiming:
     return SideTiming(value=value, millis=statistics.median(times), timed_out=False)
 
 
-def _verified_sdepth(F: Factor, deadline: float | None = None):
+def _verified_sdepth(F: Factor, deadline: float | None = None,
+                     node_budget: int = DEFAULT_NODE_BUDGET):
     """(sdepth, certificate) of F; a certificate that fails verification
     raises InvarianceViolation."""
-    value, cert = sdepth(F, deadline=deadline)
-    if not verify_decomposition(F, cert, value):
+    value, cert = sdepth(F, node_budget=node_budget, deadline=deadline)
+    if not verify_decomposition(F, cert, value, deadline=deadline):
         raise InvarianceViolation(f"certificate for sdepth = {value} failed verification")
     return value, cert
 

@@ -16,9 +16,10 @@ from .bench import _verified_sdepth, run_bench
 from .canonical import canonicalize, type_wrt
 from .invariance import FAIL, SKIPPED, InvarianceViolation, check_factor
 from .koszul import depth, parse_field
-from .limits import ResourceError, check_deadline, deadline_from_timeout
+from .limits import (ResourceError, SearchBudgetError, check_deadline,
+                     deadline_from_timeout)
 from .parse import format_factor, format_monomial, parse_problem
-from .sdepth import decomposition_lines
+from .sdepth import DEFAULT_NODE_BUDGET, decomposition_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -117,13 +118,22 @@ def cmd_depth(args) -> int:
     return EXIT_OK
 
 
+def _node_budget(args) -> int:
+    if args.node_budget is None:
+        return DEFAULT_NODE_BUDGET
+    if args.node_budget < 1:
+        raise UsageError(f"node budget must be a positive integer, got {args.node_budget}")
+    return args.node_budget
+
+
 def cmd_sdepth(args) -> int:
     deadline = deadline_from_timeout(args.timeout)
+    budget = _node_budget(args)
     problem = _load(args.file)
     F = problem.factor()
     names = problem.names
     target = F if args.no_canon else canonicalize(F)
-    value, cert = _verified_sdepth(target, deadline)
+    value, cert = _verified_sdepth(target, deadline, budget)
     g = target.join_exponents()
     lines = [f"sdepth = {value}"]
     if not args.no_canon:
@@ -150,6 +160,7 @@ def cmd_check(args) -> int:
     if (args.file is None) == (args.random is None):
         raise UsageError("check needs a file or --random N GMAX COUNT SEED")
     deadline = deadline_from_timeout(args.timeout)
+    budget = _node_budget(args)
     rng: random.Random
     jobs = []
     if args.file is not None:
@@ -167,9 +178,13 @@ def cmd_check(args) -> int:
             jobs.append((f"random[{i}]", random_factor(rng, n, gmax)))
     records = []
     for label, F in jobs:
-        # a check cut off by the deadline is SKIPPED; the command stops there
-        records.append(check_factor(label, F, rng, deadline=deadline))
+        # a check cut off by the deadline, or by a search over --node-budget,
+        # is SKIPPED; the command stops there
+        record = check_factor(label, F, rng, deadline=deadline, node_budget=budget)
+        records.append(record)
         check_deadline(deadline)
+        if args.node_budget is not None and isinstance(record.limit, SearchBudgetError):
+            raise record.limit
     payload = {
         "command": "check",
         "results": [
@@ -246,12 +261,17 @@ def build_parser() -> _Parser:
     p.add_argument("--field", default="q", help="q (rationals) or p<prime>")
     p.add_argument("--trace", action="store_true",
                    help="one JSON record on stderr per scanned lcm-lattice slice")
+    budget = ("partition search nodes per level d (exit 3 when exceeded; "
+              f"default {DEFAULT_NODE_BUDGET})")
+
     p = add("sdepth", cmd_sdepth, "exact Stanley depth with certificate", whole)
     p.add_argument("file")
     p.add_argument("--no-canon", action="store_true", help="skip canonicalization")
+    p.add_argument("--node-budget", type=int, metavar="N", help=budget)
     p = add("check", cmd_check, "depth/sdepth invariance under the transforms", whole)
     p.add_argument("file", nargs="?")
     p.add_argument("--random", nargs=4, type=int, metavar=("N", "GMAX", "COUNT", "SEED"))
+    p.add_argument("--node-budget", type=int, metavar="N", help=budget)
     p = add("bench", cmd_bench, "raw versus canonical timings", "seconds per run")
     p.add_argument("file")
     p.add_argument("--repeat", type=int, default=1)

@@ -35,6 +35,7 @@ class CheckRecord:
     depth_values: dict = dataclass_field(default_factory=dict)
     sdepth_values: dict = dataclass_field(default_factory=dict)
     reason: str | None = None
+    limit: ResourceError | None = None  # the limit that skipped the check
 
     def line(self) -> str:
         if self.status != PASS:
@@ -67,14 +68,15 @@ def check_forms(label: str, forms: dict[str, Factor],
             value, cert = sdepth(
                 G, box_cap=box_cap, node_budget=node_budget, deadline=deadline
             )
-            if not verify_decomposition(G, cert, value, box_cap=box_cap):
+            if not verify_decomposition(G, cert, value, box_cap=box_cap,
+                                        deadline=deadline):
                 return CheckRecord(
                     label, FAIL, dvals, svals,
                     reason=f"sdepth certificate of form {name!r} failed verification",
                 )
             svals[name] = value
     except ResourceError as exc:
-        return CheckRecord(label, SKIPPED, dvals, svals, reason=str(exc))
+        return CheckRecord(label, SKIPPED, dvals, svals, reason=str(exc), limit=exc)
     record = CheckRecord(label, PASS, dvals, svals)
     if len(set(dvals.values())) != 1:
         record.status = FAIL

@@ -20,14 +20,22 @@ lex order; a row stores the elements it covers as a bitmask, and an element
 stores the rows that contain it as a bitmask.  The search is Algorithm X on
 those bitsets (Knuth, Dancing Links, 2000): it branches on the uncovered
 element with the fewest rows still compatible with the choices made so far,
-biggest intervals first.  The search is complete and the rows lose no
-partition, so sdepth below is exact.  verify_decomposition checks a
-certificate against the element mask alone.
+biggest intervals first.  From a level's first dead end on, it also cuts
+every node whose uncovered set U gives the truncated polynomial
+sum over a in U with rho(a) <= d of t^|a| (1-t)^(d - rho(a)) a negative
+coefficient.
+If the rows left partition U, splitting them until every top has rho
+exactly d (or the piece is a single element with rho > d) turns that
+polynomial into a sum of monomials t^|bottom|, so a cut node has no
+completion.  The search is complete and the rows lose no partition, so
+sdepth below is exact.  verify_decomposition checks a certificate against
+the element mask alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from operator import eq
 
@@ -108,8 +116,8 @@ class CharacteristicPoset:
     rows_with[e] has bit r for each row that covers element e, and
     conflict[r], filled on first use by conflicts, has a bit for every row
     that meets row r.  reach is the largest d for which every element is the
-    bottom of some row with rho >= d.  degree_counts maps (|a|, rho(a)) to
-    the number of elements a with that degree and rho.
+    bottom of some row with rho >= d.  degree_classes maps (|a|, rho(a)) to
+    the bitmask of the elements a with that degree and rho.
     """
 
     n: int
@@ -126,7 +134,7 @@ class CharacteristicPoset:
     rows_with: list[int]
     conflict: list[int | None]
     reach: int
-    degree_counts: dict[tuple[int, int], int]
+    degree_classes: dict[tuple[int, int], int]
 
     def index_of(self, a) -> int:
         return sum(e * s for e, s in zip(a, self.strides))
@@ -176,7 +184,7 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
     # of a lex-later element, so rows are built from the last element down,
     # each only from a smaller row that fits (Apriori).
     tops: list[dict] = [None] * len(coords)
-    counts: dict[tuple[int, int], int] = {}
+    classes: dict[tuple[int, int], int] = {}
     for i in range(len(coords) - 1, -1, -1):
         if not i % 64:
             check_deadline(deadline)
@@ -188,7 +196,7 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
                 below[k][j] = i
         r = sum(map(eq, a, g))
         key = (sum(a), r)
-        counts[key] = counts.get(key, 0) + 1
+        classes[key] = classes.get(key, 0) | 1 << i
         rows = {a: (1 << i, r)}
         grow = [(a, 0)]  # (top, first axis that may still be raised)
         for b, start in grow:
@@ -234,7 +242,7 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
     return CharacteristicPoset(
         n, g, strides, volume, coords, elem_mask, bottom, top, row_rho, mask,
         [m.bit_count() for m in mask], rows_with, [None] * len(top), reach,
-        counts)
+        classes)
 
 
 @dataclass(frozen=True)
@@ -264,6 +272,23 @@ def _mask_of(positions, nbits: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+@cache
+def _signed_binomials(e: int) -> tuple[int, ...]:
+    """Coefficients of (1-t)^e, lowest degree first."""
+    return tuple((-1) ** m * comb(e, m) for m in range(e + 1))
+
+
+def _expand(terms) -> dict[int, int]:
+    """Coefficients, by degree, of the sum of x t^k (1-t)^e over the
+    (x, k, e) in terms."""
+    poly: dict[int, int] = {}
+    for x, k, e in terms:
+        for c in _signed_binomials(e):
+            poly[k] = poly.get(k, 0) + x * c
+            k += 1
+    return poly
+
+
 def _hilbert_witness(poset: CharacteristicPoset, d: int) -> int | None:
     """Lowest degree k where (1-t)^d H(t) has a negative coefficient, or None.
 
@@ -274,21 +299,69 @@ def _hilbert_witness(poset: CharacteristicPoset, d: int) -> int | None:
     against the series' coefficients there, C(k - |a| + s - 1, k - |a|)
     with s = rho(a) - d.  With no rho(a) < d, every term is nonnegative.
     """
-    counts = poset.degree_counts
-    if all(r >= d for _, r in counts):
+    classes = poset.degree_classes
+    if all(r >= d for _, r in classes):
         return None
-    poly: dict[int, int] = {}
-    for (k, r), x in counts.items():
-        e = d - r
-        for m in range(e + 1):  # x t^k (1-t)^e, one term at a time
-            poly[k + m] = poly.get(k + m, 0) + x
-            x = x * (m - e) // (m + 1)
+    poly = _expand([(m.bit_count(), k, d - r) for (k, r), m in classes.items() if r <= d])
     for k in sorted(k for k, p in poly.items() if p < 0):
-        p = poly[k] + sum(x * comb(k - j + r - d - 1, k - j)
-                          for (j, r), x in counts.items() if r > d and j <= k)
+        p = poly[k] + sum(m.bit_count() * comb(k - j + r - d - 1, k - j)
+                          for (j, r), m in classes.items() if r > d and j <= k)
         if p < 0:
             return k
     return None
+
+
+@cache
+def _packed_power(e: int, w: int) -> int:
+    """(1-t)^e with the coefficient of t^j in bits w*j to w*j + w - 1."""
+    return sum(c << w * j for j, c in _expand([(1, 0, e)]).items())
+
+
+class _NodeCheck:
+    """P_U(t) = sum over a in U with rho(a) <= d of t^|a| (1-t)^(d - rho(a)),
+    for the uncovered sets U of one level d, packed into one integer.
+
+    Each degree that a term of P_U reaches gets a field of w bits, in
+    increasing order, and a value holds 2^(w-1) plus P_U's coefficient of
+    that degree in each field.  A term t^k (1-t)^e reaches the degrees k to
+    k + e, which get consecutive fields, so it is the packed (1-t)^e shifted
+    to k's field.  No coefficient is larger than len(coords) * 2^d in size,
+    so no field overflows, and P_U has a negative coefficient iff some
+    field's top bit is clear.  terms pairs each class mask with its packed
+    term, and elem holds each element's (0 when rho > d): value sums the
+    first over a whole uncovered set, drop the second over one row.  low
+    masks the elements with rho < d: without them P_U has no negative
+    coefficient.
+    """
+
+    __slots__ = ("low", "high", "terms", "elem")
+
+    def __init__(self, poset: CharacteristicPoset, d: int):
+        terms = [(m, k, d - r) for (k, r), m in poset.degree_classes.items() if r <= d]
+        degrees = sorted({k + j for _, k, e in terms for j in range(e + 1)})
+        field = {k: i for i, k in enumerate(degrees)}
+        w = (len(poset.coords) << d).bit_length() + 1
+        self.high = ((1 << w * len(degrees)) - 1) // ((1 << w) - 1) << w - 1
+        self.low = 0
+        self.terms = []
+        self.elem = [0] * len(poset.coords)
+        for m, k, e in terms:
+            if e:
+                self.low |= m
+            t = _packed_power(e, w) << w * field[k]
+            self.terms.append((m, t))
+            for i in _bits(m):
+                self.elem[i] = t
+
+    def value(self, uncovered: int) -> int:
+        return self.high + sum(t * (uncovered & m).bit_count() for m, t in self.terms)
+
+    def drop(self, value: int, mask: int) -> int:
+        """The value of U minus the elements in mask, all of them in U."""
+        return value - sum(map(self.elem.__getitem__, _bits(mask)))
+
+    def negative(self, value: int) -> bool:
+        return value & self.high != self.high
 
 
 def exists_partition(poset: CharacteristicPoset, d: int,
@@ -305,6 +378,20 @@ def exists_partition(poset: CharacteristicPoset, d: int,
     rows first.  A node is one candidate interval applied;
     exceeding node_budget raises SearchBudgetError and a passed deadline
     raises TimeLimitError, both distinct from the None answer.
+
+    From the level's first dead end on (the first frame that runs out of
+    candidates), a node whose uncovered set U holds an element with
+    rho < d is cut when P_U(t) = sum over a in U with rho(a) <= d of
+    t^|a| (1-t)^(d - rho(a)) has a negative coefficient (see _NodeCheck);
+    a search that never backtracks never sets the check up.  The cut is
+    sound.  Suppose the live rows, which lie inside U, partition U.  Split
+    each row along its raised axes until every piece has a top with rho
+    exactly d or is a single element with rho > d (the splitting argument
+    above char_poset).  The elements of a piece [a, b] with rho(b) = d
+    have series summing to t^|a| / (1-t)^d, so P_U is the sum of t^|a|
+    over those pieces, with no negative coefficient.  A cut subtree holds
+    no partition and candidates keep their order, so the search returns
+    the same partition as without the check.
     """
     n = poset.n
     if not 0 <= d <= n:
@@ -326,21 +413,28 @@ def exists_partition(poset: CharacteristicPoset, d: int,
                 best, fewest = e, count
                 if count <= 1:
                     break
-        return sorted(_bits(rows_with[best] & live), key=lambda r: -size[r])
+        # the sort is stable under reverse, so equal sizes stay in row order
+        return sorted(_bits(rows_with[best] & live), key=size.__getitem__, reverse=True)
 
     uncovered = (1 << len(poset.coords)) - 1
     live = _mask_of((r for r, x in enumerate(poset.row_rho) if x >= d),
                     len(poset.row_rho))
-    stack = [[uncovered, live, candidates(uncovered, live), 0]]
+    # a frame is [uncovered, live, candidates, next candidate, packed P_U or
+    # None until a node check needs it]
+    stack = [[uncovered, live, candidates(uncovered, live), 0, None]]
     chosen: list[int] = []
     nodes = 0
+    check, low = None, 0  # the node check, set up at the first dead end
     while stack:
         frame = stack[-1]
-        uncovered, live, cands, i = frame
+        uncovered, live, cands, i, value = frame
         if i >= len(cands):
             stack.pop()
             if stack:
                 chosen.pop()
+            if check is None and stack:
+                check = _NodeCheck(poset, d)
+                low = check.low
             continue
         frame[3] = i + 1
         nodes += 1
@@ -352,13 +446,21 @@ def exists_partition(poset: CharacteristicPoset, d: int,
             check_deadline(deadline)
         r = cands[i]
         remaining = uncovered & ~poset.row_mask[r]
+        if remaining & low:
+            if value is None:
+                value = frame[4] = check.value(uncovered)
+            value = check.drop(value, poset.row_mask[r])
+            if check.negative(value):
+                continue
+        else:
+            value = None
         chosen.append(r)
         if remaining == 0:
             return IntervalPartition(tuple(
                 (poset.coords[poset.row_bottom[c]], poset.row_top[c]) for c in chosen
             ))
         live &= ~poset.conflicts(r, deadline)
-        stack.append([remaining, live, candidates(remaining, live), 0])
+        stack.append([remaining, live, candidates(remaining, live), 0, value])
     return None
 
 
@@ -380,14 +482,18 @@ def sdepth(F: Factor, *, box_cap: int = DEFAULT_BOX_CAP,
 
 
 def verify_decomposition(F: Factor, partition: IntervalPartition, d: int,
-                         box_cap: int = DEFAULT_BOX_CAP) -> bool:
+                         box_cap: int = DEFAULT_BOX_CAP,
+                         deadline: float | None = None) -> bool:
     """Certificate check against F's element mask: disjoint intervals whose
     union is the element set, every top with rho >= d.  A block holding a
     cell outside the element set leaves the union unequal to it.  No
-    coordinates are decoded and no rows are built."""
-    g, strides, _, elem_mask = _element_set(F, box_cap, None)
+    coordinates are decoded and no rows are built.  A passed deadline,
+    checked every 256 intervals, raises TimeLimitError."""
+    g, strides, _, elem_mask = _element_set(F, box_cap, deadline)
     covered = 0
-    for a, b in partition.intervals:
+    for k, (a, b) in enumerate(partition.intervals):
+        if not k % 256:
+            check_deadline(deadline)
         if len(a) != len(g) or len(b) != len(g):
             return False
         if any(x < 0 or x > y or y > gj for x, y, gj in zip(a, b, g)):

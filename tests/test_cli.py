@@ -279,6 +279,46 @@ class TestTimeout:
             f"error: timeout must be a positive number of seconds, got {float(timeout)}\n"))
 
 
+class TestNodeBudget:
+    @pytest.mark.parametrize("command", ["sdepth", "check"])
+    def test_an_exceeded_budget_is_a_resource_limit(self, command, write, capsys):
+        # (x, y) needs two nodes at d=1
+        assert main([command, write(MAXIMAL), "--node-budget", "1"]) == EXIT_RESOURCE
+        assert capsys.readouterr() == (
+            "", "resource limit: partition search exceeded 1 nodes at d=1\n")
+
+    def test_check_stops_at_the_first_search_over_budget(self, capsys):
+        args = ["check", "--random", "3", "3", "5", "1", "--node-budget", "1"]
+        assert main(args) == EXIT_RESOURCE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("resource limit: partition search exceeded 1 nodes at d=")
+
+    @pytest.mark.parametrize("command", ["sdepth", "check"])
+    def test_a_sufficient_budget_changes_nothing(self, command, write, capsys):
+        path = write(MAXIMAL)
+        assert main([command, path]) == EXIT_OK
+        plain = capsys.readouterr()
+        assert main([command, path, "--node-budget", "2"]) == EXIT_OK
+        assert capsys.readouterr() == plain
+
+    @pytest.mark.parametrize("command", ["sdepth", "check"])
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_rejects_a_budget_below_one(self, command, budget, write, capsys):
+        assert main([command, write(MAXIMAL), "--node-budget", budget]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", f"error: node budget must be a positive integer, got {budget}\n")
+
+    @pytest.mark.parametrize("command", ["sdepth", "check"])
+    @pytest.mark.parametrize("budget", ["x", "1.5", ""])
+    def test_rejects_a_budget_that_is_not_an_integer(self, command, budget, write,
+                                                     capsys):
+        assert main([command, write(MAXIMAL), "--node-budget", budget]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: argument --node-budget: invalid int value")
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert main([]) == EXIT_USAGE

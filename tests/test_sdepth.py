@@ -2,8 +2,10 @@
 
 import functools
 import itertools
+import random
 import sys
 import time
+from math import comb
 from unittest import mock
 
 import pytest
@@ -28,7 +30,7 @@ from monocanon import (
     sdepth,
     verify_decomposition,
 )
-from monocanon.sdepth import _block_mask, _hilbert_witness
+from monocanon.sdepth import _block_mask, _hilbert_witness, _NodeCheck
 
 
 def oracle_verify(F, intervals, d) -> bool:
@@ -181,12 +183,18 @@ class TestExistsPartition:
         assert feasible == list(range(len(feasible)))
 
 
+def veronese_factor(n, k, j=None):
+    """V(n, k), or V(n, k)/V(n, j); V(n, 1) is m_n."""
+    def gens(k):
+        return [tuple(int(i in S) for i in range(n))
+                for S in itertools.combinations(range(n), k)]
+    return Factor(MonomialIdeal(n, gens(k)), MonomialIdeal(n, gens(j) if j else []))
+
+
 @functools.cache
 def squarefree_veronese_poset(n, k):
-    """The characteristic poset of V(n, k); V(n, 1) is m_n."""
-    gens = [tuple(int(j in S) for j in range(n))
-            for S in itertools.combinations(range(n), k)]
-    return char_poset(Factor(MonomialIdeal(n, gens)))
+    """The characteristic poset of V(n, k)."""
+    return char_poset(veronese_factor(n, k))
 
 
 def hilbert_bound(P) -> int:
@@ -272,6 +280,111 @@ class TestHilbertRefutation:
         # sdepth(V(n, k)) = (n - k) // (k + 1) + k for k <= n < 5k + 4
         # (Keller-Shen-Streib-Young 2011)
         assert hilbert_bound(squarefree_veronese_poset(n, k)) == (n - k) // (k + 1) + k
+
+
+def truncated_negative(points, g, d) -> bool:
+    """Has sum over a in points with rho(a) <= d of t^|a| (1-t)^(d - rho(a))
+    a negative coefficient?  Summed term by term from binomials."""
+    poly = {}
+    for a in points:
+        e = d - sum(1 for x, y in zip(a, g) if x == y)
+        for m in range(e + 1):
+            poly[sum(a) + m] = poly.get(sum(a) + m, 0) + (-1) ** m * comb(e, m)
+    return any(c < 0 for c in poly.values())
+
+
+def level_intervals(points, g, d) -> list[frozenset]:
+    """Every interval [a, b] inside points whose top has at least d
+    coordinates equal to g's, as a set of points."""
+    found = []
+    for a in points:
+        for b in itertools.product(*(range(x, e + 1) for x, e in zip(a, g))):
+            if sum(1 for y, e in zip(b, g) if y == e) >= d:
+                cells = frozenset(itertools.product(*(range(x, y + 1) for x, y in zip(a, b))))
+                if cells <= points:
+                    found.append(cells)
+    return found
+
+
+def cover_exists(points, intervals, memo) -> bool:
+    """Brute force: can the set points be split into some of the intervals?
+    Branches on the point in the fewest intervals that fit."""
+    if not points:
+        return True
+    if points not in memo:
+        fits = [c for c in intervals if c <= points]
+        p = min(points, key=lambda q: sum(1 for c in fits if q in c))
+        memo[points] = any(cover_exists(points - c, fits, memo) for c in fits if p in c)
+    return memo[points]
+
+
+class TestNodeCheck:
+    @given(helpers.factors(nmax=4))
+    def test_search_finds_the_same_partitions_without_it(self, F):
+        # cutting only subtrees that hold no partition, in an unchanged
+        # candidate order, leads the search to the same first partition
+        P = char_poset(F)
+        found = [exists_partition(P, d) for d in range(P.n + 1)]
+        with mock.patch.object(_NodeCheck, "negative", lambda self, value: False):
+            assert [exists_partition(P, d) for d in range(P.n + 1)] == found
+
+    @pytest.mark.parametrize("n, k, j, d", [
+        (4, 1, None, 2), (5, 1, None, 3), (5, 2, None, 3), (6, 1, None, 3), (6, 2, 5, 3),
+    ])
+    def test_refuted_sets_have_no_cover(self, n, k, j, d):
+        # uncovered sets as the search makes them: the element set minus
+        # disjoint rows with rho >= d, chosen at random and ending at the
+        # first refuted set, with the packed value updated row by row
+        F = veronese_factor(n, k, j)
+        P = char_poset(F)
+        check = _NodeCheck(P, d)
+        full = (1 << len(P.coords)) - 1
+        live = [r for r, x in enumerate(P.row_rho) if x >= d]
+        rng = random.Random(n * 100 + k)
+        intervals = level_intervals(frozenset(P.coords), P.g, d)
+        memo: dict = {}
+        refuted = 0
+        for _ in range(150):
+            uncovered, value = full, check.value(full)
+            for r in rng.sample(live, len(live)):
+                if P.row_mask[r] & ~uncovered or rng.random() < 0.1:
+                    continue
+                uncovered &= ~P.row_mask[r]
+                value = check.drop(value, P.row_mask[r])
+                assert value == check.value(uncovered)
+                points = frozenset(a for i, a in enumerate(P.coords) if uncovered >> i & 1)
+                negative = truncated_negative(points, P.g, d)
+                assert check.negative(value) == negative
+                if negative:
+                    refuted += 1
+                    assert not cover_exists(points, intervals, memo)
+                    break
+        assert refuted
+
+    def test_elements_above_the_level_add_nothing(self):
+        # at d=1 the root check lets x*y (rho 2) lift the negative degree-2
+        # coefficient of the rho <= 1 terms; the node check leaves it out
+        F = fac("x, y, z", "1", "x*z, y*z, z^2")
+        P = char_poset(F)
+        assert _hilbert_witness(P, 1) is None
+        check = _NodeCheck(P, 1)
+        full = (1 << len(P.coords)) - 1
+        assert check.negative(check.value(full))
+        assert exists_partition(P, 1) is None
+
+    @pytest.mark.parametrize("n, k, j", [(6, 2, 5), (5, 2, None)])
+    def test_solves_within_a_small_budget(self, n, k, j):
+        # without the node check these searches need 1741 and 449 nodes
+        P = char_poset(veronese_factor(n, k, j))
+        assert exists_partition(P, 3, node_budget=100) == exists_partition(P, 3)
+
+    @pytest.mark.parametrize("n, k, d", [(7, 3, 4), (8, 2, 4), (8, 3, 4), (9, 1, 5)])
+    def test_solves_levels_that_timed_out(self, n, k, d):
+        # each of these ran past 10 s without the node check
+        F = veronese_factor(n, k)
+        part = exists_partition(squarefree_veronese_poset(n, k), d, node_budget=2000)
+        assert part is not None
+        assert verify_decomposition(F, part, d)
 
 
 class TestSdepth:
@@ -367,6 +480,11 @@ class TestVerifyDecomposition:
     def test_rejects_wrong_arity(self):
         bad = IntervalPartition((((0,), (1,)),))
         assert not verify_decomposition(self.F, bad, 0)
+
+    def test_deadline(self):
+        with pytest.raises(TimeLimitError):
+            verify_decomposition(self.F, self.cert, self.d,
+                                 deadline=time.monotonic() - 1.0)
 
     def test_rejects_interval_outside_box(self):
         bad = IntervalPartition((((0, 1), (0, 5)), ((1, 0), (1, 1))))
