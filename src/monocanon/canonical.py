@@ -46,13 +46,12 @@ def _substitute(X, maps: dict[int, dict[int, int]]):
             raise RuntimeError(
                 f"internal error: exponent substitution broke J < I: {exc}"
             )
-    gens = []
-    for m in X.gens:
-        m = list(m)
-        for v, mp in maps.items():
-            m[v] = mp.get(m[v], m[v])
-        gens.append(m)
-    out = MonomialIdeal(X.n, gens)
+    if not X.gens:
+        return X
+    cols = list(zip(*X.gens))
+    for v, mp in maps.items():
+        cols[v] = map(mp.get, cols[v], cols[v])
+    out = MonomialIdeal(X.n, zip(*cols))
     if len(out.gens) != len(X.gens):
         raise RuntimeError(
             "internal error: exponent substitution merged generators "

@@ -4,12 +4,19 @@ A monomial is a bare exponent tuple; the ambient variable count travels with
 the ideal.  Ideals keep their generating set minimal and deglex-sorted, so
 equality is structural and printing is deterministic.  All types are
 immutable by construction and every operation returns fresh values.
+
+Minimality is read off per-axis bitsets rather than by comparing pairs:
+for each axis, every exponent value maps to the set of generators whose
+exponent there is at most that value, and a generator is minimal iff the
+AND of its sets over all axes holds it alone.  That is O(g n) word
+operations for g generators in n variables, after two sorts.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import le
+from bisect import bisect_right
+from itertools import compress
+from operator import and_, eq
 
 Monomial = tuple[int, ...]
 
@@ -41,17 +48,37 @@ def divides(u: Monomial, v: Monomial) -> bool:
 
 def minimalize(gens) -> tuple[Monomial, ...]:
     """Divisibility-minimal subset of gens, deglex-sorted and duplicate-free."""
-    ms = sorted({tuple(g) for g in gens}, key=deglex_key)
-    for m in ms:
-        if len(m) != len(ms[0]):
-            raise DimensionError(f"cannot compare exponent vectors of lengths "
-                                 f"{len(ms[0])} and {len(m)}")
-    out: list[Monomial] = []
-    # ascending degree: only a kept generator of lower degree can divide m,
-    # because distinct monomials of equal degree never divide each other
-    for _, same_degree in groupby(ms, key=sum):
-        out += [m for m in same_degree if not any(all(map(le, k, m)) for k in out)]
-    return tuple(out)
+    ms = set(map(tuple, gens))
+    if len(ms) < 2:
+        return tuple(ms)
+    if len(set(map(len, ms))) > 1:
+        ms = sorted(ms, key=deglex_key)
+        other = next(m for m in ms if len(m) != len(ms[0]))
+        raise DimensionError(f"cannot compare exponent vectors of lengths "
+                             f"{len(ms[0])} and {len(other)}")
+    # deglex: lex-descending, then stably by degree
+    ms = sorted(ms, reverse=True)
+    ms.sort(key=sum)
+    # distinct monomials of equal degree never divide each other, so those
+    # of the lowest degree are minimal and only the rest need a test
+    degrees = list(map(sum, ms))
+    low = bisect_right(degrees, degrees[0])
+    if low == len(ms):
+        return tuple(ms)
+    # per axis j, below[e] has bit k set for each generator k with exponent
+    # <= e on j; ANDing below[m_j] over all j leaves the generators that
+    # divide m, and m is minimal iff that is m alone
+    bits = [1 << k for k in range(len(ms))]
+    divisors = [-1] * (len(ms) - low)
+    for col in zip(*ms):
+        below = dict.fromkeys(col, 0)
+        for e, bit in zip(col, bits):
+            below[e] |= bit
+        acc = 0
+        for e in sorted(below):
+            acc = below[e] = acc | below[e]
+        divisors = list(map(and_, divisors, map(below.__getitem__, col[low:])))
+    return tuple(ms[:low]) + tuple(compress(ms[low:], map(eq, divisors, bits[low:])))
 
 
 class MonomialIdeal:
@@ -68,16 +95,17 @@ class MonomialIdeal:
             raise ValueError("variable count must be positive")
         checked = []
         for g in gens:
-            g = tuple(int(e) for e in g)
+            g = tuple(map(int, g))
             if len(g) != n:
                 raise DimensionError(
                     f"generator {g} has {len(g)} exponents, expected {n}"
                 )
-            for e in g:
-                if e < 0:
-                    raise ValueError(f"negative exponent in generator {g}")
-                if e > MAX_EXPONENT:
-                    raise ValueError(f"exponent {e} exceeds the 2^31 - 1 cap")
+            if min(g) < 0 or max(g) > MAX_EXPONENT:
+                for e in g:
+                    if e < 0:
+                        raise ValueError(f"negative exponent in generator {g}")
+                    if e > MAX_EXPONENT:
+                        raise ValueError(f"exponent {e} exceeds the 2^31 - 1 cap")
             checked.append(g)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gens", minimalize(checked))

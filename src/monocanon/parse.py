@@ -11,9 +11,15 @@ numerator, the optional second the denominator.  On the right-hand side
 ``0`` denotes the zero ideal and ``1`` the unit monomial; monomials are
 ``*``-separated variable powers.  Whitespace and line breaks are free.
 Printing is deterministic (generators in deglex order) and parsing a
-printed ideal gives back the same ideal.  Tokens carry only their offset in
-the text; the line and column a ParseError reports are worked out from it
-when the error is raised.
+printed ideal gives back the same ideal.
+
+Reading is one scan: a regex search rejects any bad character first, one
+``findall`` turns the text into plain token strings, and the parser indexes
+that list directly, reading a token's kind from its first character.
+Tokens carry no position; the line and column a ParseError reports are
+worked out only when it is raised, by re-scanning the text up to the
+failing token.  An exponent, or an exponent sum within one monomial, over
+the 2^31 - 1 cap is a ParseError at the token that crosses it.
 """
 
 from __future__ import annotations
@@ -35,93 +41,133 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-_TOKEN = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>[0-9]+)"
-                    r"|(?P<punct>[,;=^*-])|(?P<bad>\S)")
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[,;=^*-]")
+_BAD = re.compile(r"[^\sA-Za-z0-9_,;=^*-]")
 
 
-class _Stream:
-    """The tokens of text as (text, kind, offset), kind a group of _TOKEN."""
-
-    def __init__(self, text):
-        self.text = text
-        self.toks = [(m.group(), m.lastgroup, m.start()) for m in _TOKEN.finditer(text)]
-        self.i = 0
-        for tok, kind, offset in self.toks:
-            if kind == "bad":
-                raise self.error(f"unexpected character {tok!r}", offset)
-
-    def error(self, message, offset=None) -> ParseError:
-        """ParseError at offset, by default the end of the text."""
-        if offset is None:
-            offset = len(self.text)
-        line = self.text.count("\n", 0, offset) + 1
-        return ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
-
-    def peek(self):
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
-
-    def next(self, expect=None):
-        if self.i >= len(self.toks):
-            raise self.error(f"expected {expect!r}" if expect else "unexpected end of input")
-        tok = self.toks[self.i]
-        self.i += 1
-        if expect is not None and tok[0] != expect:
-            raise self.error(f"expected {expect!r}, found {tok[0]!r}", tok[2])
-        return tok
+def _at(text: str, offset: int, message: str) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def _parse_monomial(st: _Stream, index_of: dict, n: int) -> Monomial:
-    exps = [0] * n
+def _error(text: str, k: int, message: str) -> ParseError:
+    """ParseError at token k of text, or at the end of the text past the
+    last token; the offset is found by re-scanning the tokens up to k."""
+    for idx, m in enumerate(_TOKEN.finditer(text)):
+        if idx == k:
+            return _at(text, m.start(), message)
+    return _at(text, len(text), message)
+
+
+def _tokens(text: str) -> list[str]:
+    """The tokens of text followed by "" for its end; a bad character
+    anywhere raises first."""
+    bad = _BAD.search(text)
+    if bad:
+        raise _at(text, bad.start(), f"unexpected character {bad.group()!r}")
+    toks = _TOKEN.findall(text)
+    toks.append("")
+    return toks
+
+
+def _is_name(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
+
+
+def _expect(text: str, toks: list, k: int, what: str) -> int:
+    """The index after token k, which must be what."""
+    tok = toks[k]
+    if tok != what:
+        raise _error(text, k, f"expected {what!r}, found {tok!r}" if tok
+                     else f"expected {what!r}")
+    return k + 1
+
+
+def _exponent(text: str, toks: list, k: int) -> int:
+    """Exponent token k when it is not a digit string of at most 10 digits:
+    longer ones are over the cap unless only leading zeros make them long."""
+    tok = toks[k]
+    if not tok:
+        raise _error(text, k, "unexpected end of input")
+    if tok == "-":
+        raise _error(text, k, "negative exponent")
+    if not tok.isdigit():
+        raise _error(text, k, f"expected exponent, found {tok!r}")
+    digits = tok.lstrip("0") or "0"
+    if len(digits) > 10:  # over the cap, and int() may refuse it
+        raise _error(text, k, f"exponent {digits} exceeds the 2^31 - 1 cap")
+    return int(digits)
+
+
+def _factor_error(text: str, toks: list, k: int) -> ParseError:
+    """Token k, which is neither a ring variable nor ``1``, where a monomial
+    factor should start."""
+    tok = toks[k]
+    if not tok:
+        return _error(text, k, "unexpected end of input")
+    if tok.isdigit():
+        return _error(text, k, f"unexpected number {tok!r} in monomial")
+    if _is_name(tok):
+        return _error(text, k, f"unknown variable {tok!r}")
+    return _error(text, k, f"expected a variable, found {tok!r}")
+
+
+def _over_cap(text: str, toks: list, i: int, e: int, total: int) -> ParseError:
+    """The factor ending before token i took its variable's exponent e to
+    total, over the cap: blame the exponent if it is over by itself, else
+    the factor."""
+    if e > MAX_EXPONENT:
+        return _error(text, i - 1, f"exponent {e} exceeds the 2^31 - 1 cap")
+    k = i - 3 if toks[i - 2] == "^" else i - 1
+    return _error(text, k, f"exponent sum {total} of {toks[k]!r} exceeds the 2^31 - 1 cap")
+
+
+def _parse_gens(text: str, toks: list, i: int, index_of: dict, n: int):
+    """The generator list (or ``0``) from token i on, and the index after it.
+
+    The loop indexes toks directly; the "" end token stops every lookahead.
+    """
+    if toks[i] == "0":
+        return MonomialIdeal(n), i + 1
+    gens = []
     while True:
-        tok, kind, offset = st.next(None)
-        if tok == "1":
-            pass  # unit factor, contributes nothing
-        elif kind == "num":
-            raise st.error(f"unexpected number {tok!r} in monomial", offset)
-        elif kind == "name":
-            if tok not in index_of:
-                raise st.error(f"unknown variable {tok!r}", offset)
-            e = 1
-            if st.peek() == "^":
-                st.next("^")
-                etok, ekind, eoffset = st.next(None)
-                if etok == "-":
-                    raise st.error("negative exponent", eoffset)
-                if ekind != "num":
-                    raise st.error(f"expected exponent, found {etok!r}", eoffset)
-                e = int(etok)
-                if e > MAX_EXPONENT:
-                    raise st.error(f"exponent {e} exceeds the 2^31 - 1 cap", eoffset)
-            exps[index_of[tok]] += e
-        else:
-            raise st.error(f"expected a variable, found {tok!r}", offset)
-        if st.peek() == "*":
-            st.next("*")
-            continue
-        break
-    return tuple(exps)
-
-
-def _parse_gens(st: _Stream, index_of: dict, n: int) -> MonomialIdeal:
-    if st.peek() == "0":
-        st.next("0")
-        return MonomialIdeal(n)
-    gens = [_parse_monomial(st, index_of, n)]
-    while st.peek() == ",":
-        st.next(",")
-        gens.append(_parse_monomial(st, index_of, n))
-    return MonomialIdeal(n, gens)
+        exps = [0] * n
+        while True:
+            tok = toks[i]
+            j = index_of.get(tok)
+            if j is None:
+                if tok != "1":  # the unit factor contributes nothing
+                    raise _factor_error(text, toks, i)
+                i += 1
+            else:
+                if toks[i + 1] == "^":
+                    d = toks[i + 2]
+                    e = int(d) if len(d) <= 10 and d.isdigit() else _exponent(text, toks, i + 2)
+                    i += 3
+                else:
+                    e = 1
+                    i += 1
+                total = exps[j] + e
+                if total > MAX_EXPONENT:
+                    raise _over_cap(text, toks, i, e, total)
+                exps[j] = total
+            if toks[i] != "*":
+                break
+            i += 1
+        gens.append(exps)
+        if toks[i] != ",":
+            return MonomialIdeal(n, gens), i
+        i += 1
 
 
 def parse_ideal(text: str, names) -> MonomialIdeal:
     """Parse a comma-separated generator list (or ``0``) over the given variables."""
     names = tuple(names)
-    index_of = {name: j for j, name in enumerate(names)}
-    st = _Stream(text)
-    ideal = _parse_gens(st, index_of, len(names))
-    if st.peek() is not None:
-        tok, _, offset = st.next(None)
-        raise st.error(f"trailing input {tok!r}", offset)
+    toks = _tokens(text)
+    ideal, i = _parse_gens(text, toks, 0, {name: j for j, name in enumerate(names)},
+                           len(names))
+    if toks[i]:
+        raise _error(text, i, f"trailing input {toks[i]!r}")
     return ideal
 
 
@@ -144,38 +190,39 @@ class ParsedProblem:
 
 def parse_problem(text: str) -> ParsedProblem:
     """Parse a full ideal file: ring line, then assignments for I and optionally J."""
-    st = _Stream(text)
-    kw, _, offset = st.next(None)
-    if kw != "ring":
-        raise st.error(f"expected 'ring', found {kw!r}", offset)
-    names = []
+    toks = _tokens(text)
+    if toks[0] != "ring":
+        raise _error(text, 0, f"expected 'ring', found {toks[0]!r}" if toks[0]
+                     else "unexpected end of input")
+    index_of = {}
+    i = 1
     while True:
-        tok, kind, offset = st.next(None)
-        if kind != "name":
-            raise st.error(f"expected a variable name, found {tok!r}", offset)
-        if tok in names:
-            raise st.error(f"duplicate variable name {tok!r}", offset)
-        names.append(tok)
-        if st.peek() == ",":
-            st.next(",")
-            continue
-        break
-    st.next(";")
-    index_of = {name: j for j, name in enumerate(names)}
+        tok = toks[i]
+        if not _is_name(tok):
+            raise _error(text, i, f"expected a variable name, found {tok!r}" if tok
+                         else "unexpected end of input")
+        if tok in index_of:
+            raise _error(text, i, f"duplicate variable name {tok!r}")
+        index_of[tok] = len(index_of)
+        if toks[i + 1] != ",":
+            break
+        i += 2
+    i = _expect(text, toks, i + 1, ";")
+    names = tuple(index_of)
     assignments = []
-    while st.peek() is not None:
-        name, kind, offset = st.next(None)
-        if kind != "name":
-            raise st.error(f"expected an ideal name, found {name!r}", offset)
-        st.next("=")
-        ideal = _parse_gens(st, index_of, len(names))
-        st.next(";")
+    while toks[i]:
+        name = toks[i]
+        if not _is_name(name):
+            raise _error(text, i, f"expected an ideal name, found {name!r}")
+        ideal, i = _parse_gens(text, toks, _expect(text, toks, i + 1, "="),
+                               index_of, len(names))
+        i = _expect(text, toks, i, ";")
         assignments.append((name, ideal))
     if not assignments:
-        raise st.error("no ideal assignment found")
+        raise _error(text, i, "no ideal assignment found")
     if len(assignments) > 2:
         raise ParseError("at most two ideal assignments are allowed (I and J)")
-    return ParsedProblem(tuple(names), tuple(assignments))
+    return ParsedProblem(names, tuple(assignments))
 
 
 def format_monomial(m: Monomial, names) -> str:

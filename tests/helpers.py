@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from monocanon import Factor, FactorError, MonomialIdeal, parse_ideal, parse_problem
+from monocanon import (Factor, FactorError, MonomialIdeal, default_names,
+                       format_problem, parse_ideal, parse_problem)
 
 
 def names_of(ring: str) -> tuple[str, ...]:
@@ -57,3 +58,20 @@ def factors(draw, nmax: int = 3, emax: int = 5):
         return Factor(I, MonomialIdeal(n, jg))
     except FactorError:
         return Factor(I)
+
+
+@st.composite
+def near_valid_texts(draw):
+    """format_problem output for a random factor with one character
+    inserted, deleted or replaced; the characters are the grammar's own,
+    blanks, and one that no token allows."""
+    F = draw(factors())
+    text = format_problem(default_names(F.n), F.I, None if F.J.is_zero() else F.J)
+    k = draw(st.integers(0, len(text)))
+    c = draw(st.sampled_from("xyzw0129_^*,;=- \n$"))
+    edit = draw(st.sampled_from(("insert", "delete", "replace")))
+    if edit == "insert":
+        return text[:k] + c + text[k:]
+    if edit == "delete":
+        return text[:k] + text[k + 1:]
+    return text[:k] + c + text[k + 1:]

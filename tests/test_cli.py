@@ -1,10 +1,15 @@
 """End-to-end command-line behaviour, JSON output, and exit codes."""
 
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
 import pytest
+from hypothesis import given
+
+import helpers
 
 from monocanon import BenchReport
 from monocanon.cli import (
@@ -336,3 +341,13 @@ class TestUsage:
     def test_parse_error_position(self, write, capsys):
         assert main(["canon", write("ring x;\nI = x^;\n")]) == EXIT_USAGE
         assert "line 2" in capsys.readouterr().err
+
+    @given(text=helpers.near_valid_texts())
+    def test_near_valid_texts_exit_cleanly(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "ideal.txt"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["depth", str(path)])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_RESOURCE)
+        assert "Traceback" not in err.getvalue()

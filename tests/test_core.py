@@ -39,6 +39,22 @@ class TestDivides:
             divides((1, 2), (1, 2, 3))
 
 
+def _staircase_points(n):
+    """Points (u*s + a, 2^31 - 1 - u*s, b, ...) with 0 <= u <= 64, s the
+    64th part of the cap and a, b, ... <= 3.  Points on different steps u
+    never divide each other and those on one step often do, so a list of
+    up to 150 of them keeps dozens of generators, of several degrees, past
+    the first 64 bits of every bitset."""
+    step = MAX_EXPONENT // 64
+
+    def point(code):  # one draw per point: u and the small exponents, base 4
+        u, small = divmod(code, 4 ** (n - 1))
+        a, *b = (small >> 2 * j & 3 for j in range(n - 1))
+        return (u * step + a, MAX_EXPONENT - u * step, *b)
+
+    return st.integers(0, 65 * 4 ** (n - 1) - 1).map(point)
+
+
 class TestMinimalize:
     def test_drops_multiples(self):
         assert minimalize([(2, 0), (3, 0), (0, 1)]) == ((0, 1), (2, 0))
@@ -68,7 +84,9 @@ class TestMinimalize:
                     assert not divides(a, b)
 
     @given(st.integers(1, 4).flatmap(
-        lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=12)))
+        lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=12))
+        | st.tuples(st.integers(2, 4), st.integers(0, 150)).flatmap(
+        lambda nk: st.lists(_staircase_points(nk[0]), min_size=nk[1], max_size=nk[1])))
     def test_matches_brute_force_minimal_set(self, gens):
         # every pair compared, equal degrees and duplicates included
         distinct = set(gens)
@@ -205,6 +223,9 @@ class TestParse:
         with pytest.raises(ParseError, match="cap"):
             ideal("x", f"x^{MAX_EXPONENT + 1}")
 
+    def test_exponent_leading_zeros(self):
+        assert gens_of("x", "x^" + "0" * 20 + str(MAX_EXPONENT)) == ((MAX_EXPONENT,),)
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as err:
             parse_problem("ring x, y;\nI = x*q;\n")
@@ -284,6 +305,12 @@ PARSE_ERRORS = [
     (None, "ring x;\nA = x;\nB = x^2;\nC = x^3;\n",
      "at most two ideal assignments are allowed (I and J)", None, None),
     (("x", "y"), "x y", "trailing input 'y'", 1, 3),
+    # too long for int() to convert: rejected by its length, leading zeros aside
+    pytest.param(None, "ring x;\nI = x^" + "9" * 5000 + ";\n",
+                 "exponent " + "9" * 5000 + " exceeds the 2^31 - 1 cap", 2, 7,
+                 id="exponent-of-5000-digits"),
+    (None, "ring x, y;\nI = y*x^2147483647*x;\n",
+     "exponent sum 2147483648 of 'x' exceeds the 2^31 - 1 cap", 2, 20),
 ]
 
 
@@ -299,6 +326,22 @@ class TestParseErrors:
             message = f"{message} (line {line}, column {col})"
         assert str(err.value) == message
         assert (err.value.line, err.value.col) == (line, col)
+
+    @given(helpers.near_valid_texts())
+    def test_near_valid_texts_fail_cleanly(self, text):
+        # a near-valid text parses, or fails with one of the library's
+        # errors; a ParseError's position lies inside the text
+        try:
+            parse_problem(text).factor()
+        except ParseError as err:
+            if err.line is None:
+                assert "at most two ideal assignments" in str(err)
+                return
+            lines = text.split("\n")
+            assert 1 <= err.line <= len(lines)
+            assert 1 <= err.col <= len(lines[err.line - 1]) + 1
+        except (DimensionError, FactorError):
+            pass
 
 
 class TestFormatting:
