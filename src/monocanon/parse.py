@@ -214,14 +214,14 @@ def parse_problem(text: str) -> ParsedProblem:
         name = toks[i]
         if not _is_name(name):
             raise _error(text, i, f"expected an ideal name, found {name!r}")
+        if len(assignments) == 2:
+            raise _error(text, i, "at most two ideal assignments are allowed (I and J)")
         ideal, i = _parse_gens(text, toks, _expect(text, toks, i + 1, "="),
                                index_of, len(names))
         i = _expect(text, toks, i, ";")
         assignments.append((name, ideal))
     if not assignments:
         raise _error(text, i, "no ideal assignment found")
-    if len(assignments) > 2:
-        raise ParseError("at most two ideal assignments are allowed (I and J)")
     return ParsedProblem(names, tuple(assignments))
 
 

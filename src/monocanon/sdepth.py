@@ -12,24 +12,22 @@ char_poset builds one frozen record: the poset together with the rows of
 its exact cover, for every element a each interval [a, b] inside the element
 set whose top has every b_j in {a_j, g_j}.  exists_partition decides one
 level d.  It refutes d without search when some element starts no row that
-reaches d, or when (1-t)^d H(t) has a negative coefficient, H(t) being the
-Hilbert series of I/J: a Stanley decomposition of depth >= d makes every
-such coefficient nonnegative (Uliczka, Manuscripta Math. 2010).  Otherwise
-it solves an exact cover problem over the rows.  Elements are numbered in
-lex order; a row stores the elements it covers as a bitmask, and an element
-stores the rows that contain it as a bitmask.  The search is Algorithm X on
-those bitsets (Knuth, Dancing Links, 2000): it branches on the uncovered
-element with the fewest rows still compatible with the choices made so far,
-biggest intervals first.  From a level's first dead end on, it also cuts
-every node whose uncovered set U gives the truncated polynomial
-sum over a in U with rho(a) <= d of t^|a| (1-t)^(d - rho(a)) a negative
-coefficient.
-If the rows left partition U, splitting them until every top has rho
-exactly d (or the piece is a single element with rho > d) turns that
-polynomial into a sum of monomials t^|bottom|, so a cut node has no
-completion.  The search is complete and the rows lose no partition, so
-sdepth below is exact.  verify_decomposition checks a certificate against
-the element mask alone.
+reaches d.  Otherwise it solves an exact cover problem over the rows.
+Elements are numbered in lex order; a row stores the elements it covers as
+a bitmask, and an element stores the rows that contain it as a bitmask.
+The search is Algorithm X on those bitsets (Knuth, Dancing Links, 2000): it
+branches on the uncovered element with the fewest rows still compatible
+with the choices made so far, biggest intervals first.  One Hilbert-series
+test refutes a set U of elements when the truncated polynomial
+sum over a in U with rho(a) <= d of t^|a| (1-t)^(d - rho(a)) has a
+negative coefficient.  It runs on the whole element set before the search,
+where it subsumes the bound that a Stanley decomposition of depth >= d
+makes (1-t)^d H(t) nonnegative, H(t) being the Hilbert series of I/J
+(Uliczka, Manuscripta Math. 2010), and on the uncovered set of every node
+from a level's first dead end on.  No U that the rows partition is refuted
+(see exists_partition).  The search is complete and the rows lose no
+partition, so sdepth below is exact.
+verify_decomposition checks a certificate against the element mask alone.
 """
 
 from __future__ import annotations
@@ -273,95 +271,44 @@ def _mask_of(positions, nbits: int) -> int:
 
 
 @cache
-def _signed_binomials(e: int) -> tuple[int, ...]:
-    """Coefficients of (1-t)^e, lowest degree first."""
-    return tuple((-1) ** m * comb(e, m) for m in range(e + 1))
-
-
-def _expand(terms) -> dict[int, int]:
-    """Coefficients, by degree, of the sum of x t^k (1-t)^e over the
-    (x, k, e) in terms."""
-    poly: dict[int, int] = {}
-    for x, k, e in terms:
-        for c in _signed_binomials(e):
-            poly[k] = poly.get(k, 0) + x * c
-            k += 1
-    return poly
-
-
-def _hilbert_witness(poset: CharacteristicPoset, d: int) -> int | None:
-    """Lowest degree k where (1-t)^d H(t) has a negative coefficient, or None.
-
-    H(t) = sum over elements a of t^|a| / (1-t)^rho(a).  A term with
-    rho(a) <= d is the polynomial t^|a| (1-t)^(d - rho(a)); one with
-    rho(a) > d is a series with positive coefficients, so only degrees
-    where the polynomials sum to a negative coefficient are checked, each
-    against the series' coefficients there, C(k - |a| + s - 1, k - |a|)
-    with s = rho(a) - d.  With no rho(a) < d, every term is nonnegative.
-    """
-    classes = poset.degree_classes
-    if all(r >= d for _, r in classes):
-        return None
-    poly = _expand([(m.bit_count(), k, d - r) for (k, r), m in classes.items() if r <= d])
-    for k in sorted(k for k, p in poly.items() if p < 0):
-        p = poly[k] + sum(m.bit_count() * comb(k - j + r - d - 1, k - j)
-                          for (j, r), m in classes.items() if r > d and j <= k)
-        if p < 0:
-            return k
-    return None
-
-
-@cache
 def _packed_power(e: int, w: int) -> int:
     """(1-t)^e with the coefficient of t^j in bits w*j to w*j + w - 1."""
-    return sum(c << w * j for j, c in _expand([(1, 0, e)]).items())
+    return sum((-1) ** j * comb(e, j) << w * j for j in range(e + 1))
 
 
-class _NodeCheck:
-    """P_U(t) = sum over a in U with rho(a) <= d of t^|a| (1-t)^(d - rho(a)),
-    for the uncovered sets U of one level d, packed into one integer.
+def _truncated_check(poset: CharacteristicPoset, d: int):
+    """A test refutes(U) of whether P_U(t), the sum over a in the element
+    set U (a bitmask) with rho(a) <= d of t^|a| (1-t)^(d - rho(a)), has a
+    negative coefficient; None when no element has rho(a) < d, since then
+    every P_U is a sum of monomials.
 
-    Each degree that a term of P_U reaches gets a field of w bits, in
-    increasing order, and a value holds 2^(w-1) plus P_U's coefficient of
-    that degree in each field.  A term t^k (1-t)^e reaches the degrees k to
-    k + e, which get consecutive fields, so it is the packed (1-t)^e shifted
-    to k's field.  No coefficient is larger than len(coords) * 2^d in size,
-    so no field overflows, and P_U has a negative coefficient iff some
-    field's top bit is clear.  terms pairs each class mask with its packed
-    term, and elem holds each element's (0 when rho > d): value sums the
-    first over a whole uncovered set, drop the second over one row.  low
-    masks the elements with rho < d: without them P_U has no negative
-    coefficient.
+    P_U is packed into one integer with degree k in the field of w bits
+    starting at bit w*k: each (|a|, rho(a)) class with rho(a) <= d adds its
+    packed (1-t)^(d - rho(a)), shifted to field |a|, once per element of U
+    in the class.  No coefficient is larger than len(coords) * 2^d in size,
+    so after 2^(w-1) is added to every field none overflows, and P_U has a
+    negative coefficient iff some field's top bit is clear.  A U with no
+    element of rho < d is passed without the sum.
     """
+    terms = [(m, k, d - r) for (k, r), m in poset.degree_classes.items() if r <= d]
+    low = 0
+    for m, _, e in terms:
+        if e:
+            low |= m
+    if not low:
+        return None
+    w = (len(poset.coords) << d).bit_length() + 1
+    fields = max(k + e for _, k, e in terms) + 1
+    high = ((1 << w * fields) - 1) // ((1 << w) - 1) << w - 1
+    packed = [(m, _packed_power(e, w) << w * k) for m, k, e in terms]
 
-    __slots__ = ("low", "high", "terms", "elem")
+    def refutes(uncovered: int) -> bool:
+        if not uncovered & low:
+            return False
+        value = high + sum(t * (uncovered & m).bit_count() for m, t in packed)
+        return value & high != high
 
-    def __init__(self, poset: CharacteristicPoset, d: int):
-        terms = [(m, k, d - r) for (k, r), m in poset.degree_classes.items() if r <= d]
-        degrees = sorted({k + j for _, k, e in terms for j in range(e + 1)})
-        field = {k: i for i, k in enumerate(degrees)}
-        w = (len(poset.coords) << d).bit_length() + 1
-        self.high = ((1 << w * len(degrees)) - 1) // ((1 << w) - 1) << w - 1
-        self.low = 0
-        self.terms = []
-        self.elem = [0] * len(poset.coords)
-        for m, k, e in terms:
-            if e:
-                self.low |= m
-            t = _packed_power(e, w) << w * field[k]
-            self.terms.append((m, t))
-            for i in _bits(m):
-                self.elem[i] = t
-
-    def value(self, uncovered: int) -> int:
-        return self.high + sum(t * (uncovered & m).bit_count() for m, t in self.terms)
-
-    def drop(self, value: int, mask: int) -> int:
-        """The value of U minus the elements in mask, all of them in U."""
-        return value - sum(map(self.elem.__getitem__, _bits(mask)))
-
-    def negative(self, value: int) -> bool:
-        return value & self.high != self.high
+    return refutes
 
 
 def exists_partition(poset: CharacteristicPoset, d: int,
@@ -371,34 +318,39 @@ def exists_partition(poset: CharacteristicPoset, d: int,
 
     The rows are the poset's own, built with it.  A level d above the
     poset's reach (some element starts no interval with rho >= d) is refuted
-    without search, and so is a level d >= 1 at which (1-t)^d H(t) has a
-    negative coefficient (see _hilbert_witness).  Otherwise this is a
-    complete depth-first exact cover search over the rows with rho >= d:
-    it branches on the uncovered element with the fewest live rows, biggest
-    rows first.  A node is one candidate interval applied;
-    exceeding node_budget raises SearchBudgetError and a passed deadline
-    raises TimeLimitError, both distinct from the None answer.
+    without search.  Otherwise this is a complete depth-first exact cover
+    search over the rows with rho >= d: it branches on the uncovered element
+    with the fewest live rows, biggest rows first.  A node is one candidate
+    interval applied; exceeding node_budget raises SearchBudgetError and a
+    passed deadline raises TimeLimitError, both distinct from the None
+    answer.
 
-    From the level's first dead end on (the first frame that runs out of
-    candidates), a node whose uncovered set U holds an element with
-    rho < d is cut when P_U(t) = sum over a in U with rho(a) <= d of
-    t^|a| (1-t)^(d - rho(a)) has a negative coefficient (see _NodeCheck);
-    a search that never backtracks never sets the check up.  The cut is
-    sound.  Suppose the live rows, which lie inside U, partition U.  Split
-    each row along its raised axes until every piece has a top with rho
-    exactly d or is a single element with rho > d (the splitting argument
-    above char_poset).  The elements of a piece [a, b] with rho(b) = d
-    have series summing to t^|a| / (1-t)^d, so P_U is the sum of t^|a|
-    over those pieces, with no negative coefficient.  A cut subtree holds
-    no partition and candidates keep their order, so the search returns
-    the same partition as without the check.
+    For d >= 1 one Hilbert-series test (see _truncated_check) refutes a set
+    U of elements when P_U(t), the sum over a in U with rho(a) <= d of
+    t^|a| (1-t)^(d - rho(a)), has a negative coefficient.  It runs on the
+    whole element set at the root, and on the uncovered set of every node
+    from the level's first dead end on (the first frame that runs out of
+    candidates).  It is sound for every U.  Suppose some rows with rho >= d
+    partition U.  Split each row along its raised axes until every piece has
+    a top with rho exactly d or is a single element with rho > d (the
+    splitting argument above char_poset).  The elements of a piece [a, b]
+    with rho(b) = d have series summing to t^|a| / (1-t)^d, and a single
+    element with rho > d is not in P_U, so P_U is the sum of t^|a| over the
+    pieces with rho(b) = d, with no negative coefficient.  At the root, P_U
+    is (1-t)^d H(t), H being the Hilbert series of I/J, minus the series of
+    the elements with rho > d, whose coefficients are nonnegative, so the
+    test refutes every level that Uliczka's bound does.  A cut subtree
+    holds no partition and candidates keep their order, so the search
+    returns the same partition as without the test.
     """
     n = poset.n
     if not 0 <= d <= n:
         raise ValueError(f"interval-top bound d={d} outside 0..{n}")
     if d > poset.reach:
         return None
-    if d and _hilbert_witness(poset, d) is not None:
+    refutes = _truncated_check(poset, d) if d else None
+    uncovered = (1 << len(poset.coords)) - 1
+    if refutes is not None and refutes(uncovered):
         return None
     rows_with, size = poset.rows_with, poset.row_size
 
@@ -416,25 +368,21 @@ def exists_partition(poset: CharacteristicPoset, d: int,
         # the sort is stable under reverse, so equal sizes stay in row order
         return sorted(_bits(rows_with[best] & live), key=size.__getitem__, reverse=True)
 
-    uncovered = (1 << len(poset.coords)) - 1
     live = _mask_of((r for r, x in enumerate(poset.row_rho) if x >= d),
                     len(poset.row_rho))
-    # a frame is [uncovered, live, candidates, next candidate, packed P_U or
-    # None until a node check needs it]
-    stack = [[uncovered, live, candidates(uncovered, live), 0, None]]
+    # a frame is [uncovered, live, candidates, next candidate]
+    stack = [[uncovered, live, candidates(uncovered, live), 0]]
     chosen: list[int] = []
     nodes = 0
-    check, low = None, 0  # the node check, set up at the first dead end
+    check = None  # refutes, from the level's first dead end on
     while stack:
         frame = stack[-1]
-        uncovered, live, cands, i, value = frame
+        uncovered, live, cands, i = frame
         if i >= len(cands):
             stack.pop()
             if stack:
                 chosen.pop()
-            if check is None and stack:
-                check = _NodeCheck(poset, d)
-                low = check.low
+                check = refutes
             continue
         frame[3] = i + 1
         nodes += 1
@@ -446,21 +394,15 @@ def exists_partition(poset: CharacteristicPoset, d: int,
             check_deadline(deadline)
         r = cands[i]
         remaining = uncovered & ~poset.row_mask[r]
-        if remaining & low:
-            if value is None:
-                value = frame[4] = check.value(uncovered)
-            value = check.drop(value, poset.row_mask[r])
-            if check.negative(value):
-                continue
-        else:
-            value = None
+        if check is not None and check(remaining):
+            continue
         chosen.append(r)
         if remaining == 0:
             return IntervalPartition(tuple(
                 (poset.coords[poset.row_bottom[c]], poset.row_top[c]) for c in chosen
             ))
         live &= ~poset.conflicts(r, deadline)
-        stack.append([remaining, live, candidates(remaining, live), 0, value])
+        stack.append([remaining, live, candidates(remaining, live), 0])
     return None
 
 

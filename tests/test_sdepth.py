@@ -30,7 +30,7 @@ from monocanon import (
     sdepth,
     verify_decomposition,
 )
-from monocanon.sdepth import _block_mask, _hilbert_witness, _NodeCheck
+from monocanon.sdepth import _block_mask, _truncated_check
 
 
 def oracle_verify(F, intervals, d) -> bool:
@@ -197,9 +197,15 @@ def squarefree_veronese_poset(n, k):
     return char_poset(veronese_factor(n, k))
 
 
+def root_refutes(P, d) -> bool:
+    """Does the truncated Hilbert check refute level d on the whole element set?"""
+    refutes = _truncated_check(P, d)
+    return refutes is not None and refutes((1 << len(P.coords)) - 1)
+
+
 def hilbert_bound(P) -> int:
     """The largest level the Hilbert check leaves standing."""
-    return max(d for d in range(P.n + 1) if not d or _hilbert_witness(P, d) is None)
+    return max(d for d in range(P.n + 1) if not d or not root_refutes(P, d))
 
 
 # Raw presentation of the benchmark's wide[1] factor (seed 1): 7,518 elements
@@ -214,40 +220,39 @@ class TestHilbertRefutation:
     @given(helpers.factors())
     @example(fac("x, y, z", "1", "x*z, y*z, z^2"))
     def test_witnesses_match_the_oracle_coefficients(self, F):
-        # a witness is the lowest negative coefficient of (1-t)^d H(t); no
-        # witness means none is negative up to the degree where the
-        # polynomial terms end.  In the example, at d=1 the terms with
-        # rho(a) <= 1 alone go negative in degree 2, and x*y (rho 2) lifts
-        # that coefficient back to 0
+        # the root refutes d iff the terms with rho(a) <= d sum to a
+        # negative coefficient, and so wherever (1-t)^d H(t) has one: past
+        # the degree where those terms end, every coefficient is
+        # nonnegative.  In the example, at d=1 the terms with rho(a) <= 1
+        # go negative in degree 2, where x*y (rho 2) lifts the full
+        # coefficient back to 0
         P = char_poset(F)
         g, pts = oracle.members(F)
         for d in range(1, P.n + 1):
-            w = _hilbert_witness(P, d)
-            if w is not None:
-                assert oracle.oracle_hilbert_coefficient(F, d, w) < 0
+            refuted = root_refutes(P, d)
+            assert refuted == truncated_negative(pts, g, d)
             ends = [sum(a) + d - rho(a, g) for a in pts if rho(a, g) <= d]
-            end = w if w is not None else max(ends, default=-1) + 1
-            assert all(oracle.oracle_hilbert_coefficient(F, d, k) >= 0
-                       for k in range(end))
+            if any(oracle.oracle_hilbert_coefficient(F, d, k) < 0
+                   for k in range(max(ends, default=-1) + 1)):
+                assert refuted
 
     @given(helpers.factors(nmax=4))
     def test_refuted_levels_are_infeasible(self, F):
         P = char_poset(F)
-        refuted = [d for d in range(1, P.n + 1) if _hilbert_witness(P, d) is not None]
+        refuted = [d for d in range(1, P.n + 1) if root_refutes(P, d)]
         if not refuted:
             return
         assert oracle.oracle_sdepth(F) < min(refuted)
         module = sys.modules["monocanon.sdepth"]
-        with mock.patch.object(module, "_hilbert_witness", return_value=None):
+        with mock.patch.object(module, "_truncated_check", return_value=None):
             for d in refuted:
                 assert exists_partition(P, d) is None
 
     def test_level_zero_is_never_checked(self):
-        # (1-t)^0 H(t) = H(t) has no negative coefficient, so level 0 spends
-        # no check
+        # at d=0 every term is a monomial t^|a|, so level 0 builds no check
         module = sys.modules["monocanon.sdepth"]
         P = char_poset(fac("x, y", "x^2, x*y", "x^3"))
-        with mock.patch.object(module, "_hilbert_witness",
+        with mock.patch.object(module, "_truncated_check",
                                side_effect=AssertionError("checked d=0")):
             assert exists_partition(P, 0) is not None
 
@@ -267,6 +272,20 @@ class TestHilbertRefutation:
         assert len(P.coords) == 7518
         assert 2 <= P.reach
         assert exists_partition(P, 2, node_budget=0) is None
+
+    def test_root_refutes_a_level_the_full_series_passes(self):
+        # (1-t)^3 H(t) has no negative coefficient here, and a search from
+        # the root with the check only at its nodes needs 2 nodes to refute
+        # d=3; the truncated polynomial of the whole element set refutes it
+        F = parse_problem("""ring x1, x2, x3, x4, x5;
+            I = x2*x3^2*x5, x1^3*x4^2, x1^2*x2^3*x3*x4^2, x1*x2^2*x4^3*x5^3;
+            J = x2*x3^2*x5, x1^3*x3*x4^2*x5;""").factor()
+        assert all(oracle.oracle_hilbert_coefficient(F, 3, k) >= 0 for k in range(18))
+        P = char_poset(F)
+        assert 3 <= P.reach
+        assert exists_partition(P, 3, node_budget=0) is None
+        assert sdepth(F)[0] == 2
+        assert oracle.oracle_sdepth(F) == 2
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_bound_on_maximal_ideals(self, n):
@@ -325,7 +344,9 @@ class TestNodeCheck:
         # candidate order, leads the search to the same first partition
         P = char_poset(F)
         found = [exists_partition(P, d) for d in range(P.n + 1)]
-        with mock.patch.object(_NodeCheck, "negative", lambda self, value: False):
+        module = sys.modules["monocanon.sdepth"]
+        with mock.patch.object(module, "_truncated_check",
+                               lambda P, d: lambda uncovered: False):
             assert [exists_partition(P, d) for d in range(P.n + 1)] == found
 
     @pytest.mark.parametrize("n, k, j, d", [
@@ -334,10 +355,10 @@ class TestNodeCheck:
     def test_refuted_sets_have_no_cover(self, n, k, j, d):
         # uncovered sets as the search makes them: the element set minus
         # disjoint rows with rho >= d, chosen at random and ending at the
-        # first refuted set, with the packed value updated row by row
+        # first refuted set
         F = veronese_factor(n, k, j)
         P = char_poset(F)
-        check = _NodeCheck(P, d)
+        refutes = _truncated_check(P, d)
         full = (1 << len(P.coords)) - 1
         live = [r for r, x in enumerate(P.row_rho) if x >= d]
         rng = random.Random(n * 100 + k)
@@ -345,16 +366,14 @@ class TestNodeCheck:
         memo: dict = {}
         refuted = 0
         for _ in range(150):
-            uncovered, value = full, check.value(full)
+            uncovered = full
             for r in rng.sample(live, len(live)):
                 if P.row_mask[r] & ~uncovered or rng.random() < 0.1:
                     continue
                 uncovered &= ~P.row_mask[r]
-                value = check.drop(value, P.row_mask[r])
-                assert value == check.value(uncovered)
                 points = frozenset(a for i, a in enumerate(P.coords) if uncovered >> i & 1)
                 negative = truncated_negative(points, P.g, d)
-                assert check.negative(value) == negative
+                assert refutes(uncovered) == negative
                 if negative:
                     refuted += 1
                     assert not cover_exists(points, intervals, memo)
@@ -362,15 +381,14 @@ class TestNodeCheck:
         assert refuted
 
     def test_elements_above_the_level_add_nothing(self):
-        # at d=1 the root check lets x*y (rho 2) lift the negative degree-2
-        # coefficient of the rho <= 1 terms; the node check leaves it out
+        # at d=1 x*y (rho 2) lifts the negative degree-2 coefficient of the
+        # rho <= 1 terms, so (1-t) H(t) has none; the check leaves it out
+        # and refutes the level at the root
         F = fac("x, y, z", "1", "x*z, y*z, z^2")
         P = char_poset(F)
-        assert _hilbert_witness(P, 1) is None
-        check = _NodeCheck(P, 1)
-        full = (1 << len(P.coords)) - 1
-        assert check.negative(check.value(full))
-        assert exists_partition(P, 1) is None
+        assert all(oracle.oracle_hilbert_coefficient(F, 1, k) >= 0 for k in range(4))
+        assert root_refutes(P, 1)
+        assert exists_partition(P, 1, node_budget=0) is None
 
     @pytest.mark.parametrize("n, k, j", [(6, 2, 5), (5, 2, None)])
     def test_solves_within_a_small_budget(self, n, k, j):
