@@ -1,9 +1,10 @@
 """Cross-checking that depth and Stanley depth survive the transforms.
 
 Canonicalization and shifting are supposed to leave both invariants alone;
-this module computes them on the original, canonical, and shifted forms and
-compares.  Resource limits turn a comparison into SKIPPED (never PASS), and
-a certificate that fails verification is itself a failure.
+this module computes them on the original, canonical, and shifted forms,
+once per distinct pair of generator tuples, and compares.  Resource limits
+turn a comparison into SKIPPED (never PASS), and a certificate that fails
+verification is itself a failure.
 """
 
 from __future__ import annotations
@@ -59,11 +60,17 @@ def check_forms(label: str, forms: dict[str, Factor],
                 node_budget: int = DEFAULT_NODE_BUDGET,
                 box_cap: int = DEFAULT_BOX_CAP,
                 deadline: float | None = None) -> CheckRecord:
-    """Compute depth and sdepth on every form and compare."""
+    """Compute depth and sdepth on every form and compare.  A form whose
+    generators equal an earlier form's copies that form's values."""
     dvals: dict[str, int] = {}
     svals: dict[str, int] = {}
+    seen: dict[tuple, str] = {}  # generators of I and J -> first form with them
     try:
         for name, G in forms.items():
+            first = seen.setdefault((G.I.gens, G.J.gens), name)
+            if first != name:
+                dvals[name], svals[name] = dvals[first], svals[first]
+                continue
             dvals[name] = depth(G, field, box_cap=box_cap, deadline=deadline)
             value, cert = sdepth(
                 G, box_cap=box_cap, node_budget=node_budget, deadline=deadline

@@ -15,6 +15,9 @@ level d.  It refutes d without search when some element starts no row that
 reaches d.  Otherwise it solves an exact cover problem over the rows.
 Elements are numbered in lex order; a row stores the elements it covers as
 a bitmask, and an element stores the rows that contain it as a bitmask.
+A row's top is kept as its cell index and its rho as a byte, and the build
+packs its bound pattern into bytes, so the rows on the bound along an axis,
+or reaching a level, are one bytes.translate of a column of those records.
 The search is Algorithm X on those bitsets (Knuth, Dancing Links, 2000): it
 branches on the uncovered element with the fewest rows still compatible
 with the choices made so far, biggest intervals first.  One Hilbert-series
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate, chain, compress
 from math import comb
 from operator import eq
 
@@ -108,14 +112,17 @@ class CharacteristicPoset:
     in {a_j, g_j}.
 
     coords lists the elements in lex order, which is the order of their cell
-    indices (see _element_set).  Row r is [coords[row_bottom[r]], row_top[r]];
-    rows are numbered in lex order of their bottoms.  row_mask[r] has bit e
-    for each element e (numbered as in coords) that the row covers,
-    rows_with[e] has bit r for each row that covers element e, and
-    conflict[r], filled on first use by conflicts, has a bit for every row
-    that meets row r.  reach is the largest d for which every element is the
-    bottom of some row with rho >= d.  degree_classes maps (|a|, rho(a)) to
-    the bitmask of the elements a with that degree and rho.
+    indices (see _element_set).  Row r is [coords[row_bottom[r]], b], b the
+    cell row_top[r]; rows are numbered in lex order of their bottoms, an
+    element's own in the order char_poset grows them.  Byte r of row_rho_nz
+    is rho(b) less zero_axes, the count of axes with g_j = 0: those are on
+    the bound in every row, and a box that can be built has under 256 more.
+    row_mask[r] has bit e for each element e (numbered as in coords) that
+    the row covers, rows_with[e] has bit r for each row that covers element
+    e, and conflict[r], filled on first use by conflicts, has a bit for
+    every row that meets row r.  reach is the largest d for which every
+    element is the bottom of some row with rho >= d.  degree_classes maps
+    (|a|, rho(a)) to the bitmask of the elements a with that degree and rho.
     """
 
     n: int
@@ -125,8 +132,9 @@ class CharacteristicPoset:
     coords: tuple[Monomial, ...]
     elem_mask: int
     row_bottom: list[int]
-    row_top: list[Monomial]
-    row_rho: list[int]
+    row_top: list[int]
+    row_rho_nz: bytes
+    zero_axes: int
     row_mask: list[int]
     row_size: list[int]
     rows_with: list[int]
@@ -136,6 +144,11 @@ class CharacteristicPoset:
 
     def index_of(self, a) -> int:
         return sum(e * s for e, s in zip(a, self.strides))
+
+    def live_rows(self, d: int) -> int:
+        """Bitmask of the rows whose top has rho >= d."""
+        t = max(d - self.zero_axes, 0)
+        return _column(self.row_rho_nz, b"0" * t + b"1" * (256 - t))
 
     def conflicts(self, r: int, deadline: float | None) -> int:
         c = self.conflict[r]
@@ -147,6 +160,23 @@ class CharacteristicPoset:
                 c |= self.rows_with[e]
             self.conflict[r] = c
         return c
+
+
+def _cell_coords(idx: int, strides) -> Monomial:
+    a = []
+    for s in strides:
+        e, idx = divmod(idx, s)
+        a.append(e)
+    return tuple(a)
+
+
+def _column(records: bytes, table: bytes) -> int:
+    """The int with bit r set iff table maps byte r of records to b"1";
+    _BIT[k] maps a byte to b"1" iff its bit k is set."""
+    return int(records.translate(table)[::-1], 2)
+
+
+_BIT = [(b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8)]
 
 
 # Restricting tops to b_j in {a_j, g_j} loses no partition.  Take any
@@ -168,78 +198,76 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
         if deadline is not None and not k % 4096:
             check_deadline(deadline)
         cells.append(idx)
-        a = []
-        for s in strides:
-            e, idx = divmod(idx, s)
-            a.append(e)
-        coords.append(tuple(a))
+        coords.append(_cell_coords(idx, strides))
     coords = tuple(coords)
 
     index = {c: i for i, c in enumerate(cells)}
     below: list[list] = [[None] * n for _ in coords]  # below[e][j]: e - e_j
-    # tops[i] maps each top b of element i's rows to (mask, rho(b)).
+    bit = [1 << j if y else 0 for j, y in enumerate(g)]  # of bound patterns
+    zero_axes = g.count(0)
     # [a, b'] with b'_j = g_j > a_j = b_j is [a, b] plus [a + e_j, b'], a row
-    # of a lex-later element, so rows are built from the last element down,
-    # each only from a smaller row that fits (Apriori).
+    # of a lex-later element with the same top cell, so rows are built from
+    # the last element down, each only from a smaller row that fits
+    # (Apriori), breadth first.  tops[i] maps the top cells of element i's
+    # rows to their masks; grown[i] lists the rows as (top cell, mask,
+    # pattern {j : b_j = g_j > 0}, first entry of raisable left to raise).
     tops: list[dict] = [None] * len(coords)
+    grown: list[list] = [None] * len(coords)
     classes: dict[tuple[int, int], int] = {}
     for i in range(len(coords) - 1, -1, -1):
         if not i % 64:
             check_deadline(deadline)
         a = coords[i]
         c = cells[i]  # a + e_j is cell c + strides[j] while a_j < g_j
-        up = [index.get(c + s) if x < y else None for s, x, y in zip(strides, a, g)]
-        for j, k in enumerate(up):
-            if k is not None:
+        raisable = []  # (pattern bit, rows of a + e_j, top cell shift)
+        for j, (s, x, y) in enumerate(zip(strides, a, g)):
+            if x < y and (k := index.get(c + s)) is not None:
                 below[k][j] = i
-        r = sum(map(eq, a, g))
-        key = (sum(a), r)
+                raisable.append((1 << j, tops[k], (y - x) * s))
+        p = sum(compress(bit, map(eq, a, g)))
+        key = (sum(a), p.bit_count() + zero_axes)
         classes[key] = classes.get(key, 0) | 1 << i
-        rows = {a: (1 << i, r)}
-        grow = [(a, 0)]  # (top, first axis that may still be raised)
-        for b, start in grow:
-            m, r = rows[b]
-            for j in range(start, n):
-                k = up[j]
-                if k is None:
-                    continue
-                raised = b[:j] + (g[j],) + b[j + 1:]
-                above = tops[k].get(raised)
+        rows = {c: 1 << i}
+        grow = [(c, 1 << i, p, 0)]
+        for t, m, p, start in grow:
+            for q in range(start, len(raisable)):
+                axis, above_rows, shift = raisable[q]
+                b = t + shift
+                above = above_rows.get(b)
                 if above is not None:
-                    rows[raised] = (m | above[0], r + 1)
-                    grow.append((raised, j + 1))
+                    rows[b] = above = m | above
+                    grow.append((b, above, p | axis, q + 1))
         tops[i] = rows
+        grown[i] = grow
 
-    bottom, top, row_rho, mask = [], [], [], []
-    first = [0] * (len(coords) + 1)
-    reach = n
-    for i, rows in enumerate(tops):
-        if not i % 64:
-            check_deadline(deadline)
-        for b, (m, r) in rows.items():
-            bottom.append(i)
-            top.append(b)
-            row_rho.append(r)
-            mask.append(m)
-        first[i + 1] = len(top)
-        reach = min(reach, row_rho[-1])  # rows grow one raised axis at a time
+    check_deadline(deadline)
+    top, mask = [], []
+    for rows in tops:
+        top += rows
+        mask += rows.values()
+    pattern = [row[2] for row in chain.from_iterable(grown)]
+    first = [0, *accumulate(map(len, grown))]
+    bottom = [i for i, rows in enumerate(grown) for _ in rows]
+    reach = zero_axes + min(rows[-1][2].bit_count() for rows in grown)
+    nb = (n + 7) >> 3
+    bound = b"".join([p.to_bytes(nb, "little") for p in pattern])
     # A row [a, b] with a_j < e_j covers e iff it covers e - e_j and b_j = g_j,
     # so rows_with[e] is e's own rows plus, for each j, the rows of e - e_j
     # that are raised on axis j.
-    on_bound = [_mask_of((r for r, b in enumerate(top) if b[j] == g[j]), len(top))
-                for j in range(n)]
+    on_bound = [_column(bound[j >> 3::nb], _BIT[j & 7]) for j in range(n)]
     rows_with = []
     for e in range(len(coords)):
         if not e % 64:
             check_deadline(deadline)
         w = ((1 << (first[e + 1] - first[e])) - 1) << first[e]
-        for k, bound in zip(below[e], on_bound):
+        for k, on in zip(below[e], on_bound):
             if k is not None:
-                w |= rows_with[k] & bound
+                w |= rows_with[k] & on
         rows_with.append(w)
     return CharacteristicPoset(
-        n, g, strides, volume, coords, elem_mask, bottom, top, row_rho, mask,
-        [m.bit_count() for m in mask], rows_with, [None] * len(top), reach,
+        n, g, strides, volume, coords, elem_mask, bottom, top,
+        bytes(map(int.bit_count, pattern)), zero_axes, mask,
+        list(map(int.bit_count, mask)), rows_with, [None] * len(top), reach,
         classes)
 
 
@@ -260,14 +288,6 @@ def _bits(x: int):
     while i >= 0:
         yield i
         i = s.find("1", i + 1)
-
-
-def _mask_of(positions, nbits: int) -> int:
-    """The int with bit p set for each p in positions, all below nbits."""
-    buf = bytearray((nbits + 7) >> 3)
-    for p in positions:
-        buf[p >> 3] |= 1 << (p & 7)
-    return int.from_bytes(buf, "little")
 
 
 @cache
@@ -368,8 +388,7 @@ def exists_partition(poset: CharacteristicPoset, d: int,
         # the sort is stable under reverse, so equal sizes stay in row order
         return sorted(_bits(rows_with[best] & live), key=size.__getitem__, reverse=True)
 
-    live = _mask_of((r for r, x in enumerate(poset.row_rho) if x >= d),
-                    len(poset.row_rho))
+    live = poset.live_rows(d)
     # a frame is [uncovered, live, candidates, next candidate]
     stack = [[uncovered, live, candidates(uncovered, live), 0]]
     chosen: list[int] = []
@@ -399,7 +418,8 @@ def exists_partition(poset: CharacteristicPoset, d: int,
         chosen.append(r)
         if remaining == 0:
             return IntervalPartition(tuple(
-                (poset.coords[poset.row_bottom[c]], poset.row_top[c]) for c in chosen
+                (poset.coords[poset.row_bottom[c]],
+                 _cell_coords(poset.row_top[c], poset.strides)) for c in chosen
             ))
         live &= ~poset.conflicts(r, deadline)
         stack.append([remaining, live, candidates(remaining, live), 0])

@@ -11,6 +11,7 @@ from monocanon import (
     SKIPPED,
     InvarianceViolation,
     build_forms,
+    canonicalize,
     check_factor,
     check_forms,
     divides,
@@ -19,6 +20,49 @@ from monocanon import (
     run_bench,
 )
 from monocanon.bench import _measure
+from monocanon.canonical import shift_transform
+from monocanon.cli import main
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap the named functions of monocanon.invariance to count their calls."""
+    import monocanon.invariance as module
+
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestDuplicateForms:
+    def test_equal_forms_are_computed_once(self, monkeypatch):
+        # x-degrees of F top out at 4, so shifting at k = 5 moves nothing
+        F = fac("x, y", "x^4, x^3*y^7")
+        forms = {"input": F, "canonical": canonicalize(F),
+                 "shift(v=0,k=5)": shift_transform(F, 0, 5)}
+        assert forms["shift(v=0,k=5)"].I.gens == F.I.gens
+        assert forms["canonical"].I.gens != F.I.gens
+        counts = count_calls(monkeypatch, "depth", "sdepth", "verify_decomposition")
+        rec = check_forms("dup", forms)
+        assert counts == {"depth": 2, "sdepth": 2, "verify_decomposition": 2}
+        assert rec.status == PASS
+        assert list(rec.depth_values) == list(rec.sdepth_values) == list(forms)
+        assert rec.depth_values["shift(v=0,k=5)"] == rec.depth_values["input"]
+        assert rec.line() == "PASS dup: depth=1 sdepth=1 on 3 forms"
+
+    def test_check_output_is_unchanged(self, monkeypatch, capsys):
+        # five of the thirty forms repeat an earlier form of their factor;
+        # the lines were printed before repeated forms were skipped
+        counts = count_calls(monkeypatch, "depth", "sdepth")
+        assert main(["check", "--random", "2", "3", "10", "5"]) == 0
+        assert counts == {"depth": 25, "sdepth": 25}
+        values = [1, 1, 2, 1, 0, 0, 0, 1, 1, 1]
+        assert capsys.readouterr().out == "".join(
+            f"PASS random[{i}]: depth={v} sdepth={v} on 3 forms\n"
+            for i, v in enumerate(values))
 
 
 class TestRandomGen:

@@ -126,6 +126,131 @@ class TestCharPoset:
         assert _block_mask(a, b, P.strides) == expected
 
 
+def brute_force_rows(F) -> set:
+    """Rows from the definition, as (a, b, rho(b), {j : b_j = g_j}, cells):
+    for each element a every interval [a, b] inside the oracle's element
+    set with each b_j in {a_j, g_j}."""
+    g, pts = oracle.members(F)
+    ptset = set(pts)
+    rows = set()
+    for a in pts:
+        free = [j for j in range(len(g)) if a[j] < g[j]]
+        for S in itertools.chain.from_iterable(
+                itertools.combinations(free, k) for k in range(len(free) + 1)):
+            b = tuple(g[j] if j in S else x for j, x in enumerate(a))
+            cells = frozenset(itertools.product(*(range(x, y + 1) for x, y in zip(a, b))))
+            if cells <= ptset:
+                bound = frozenset(j for j in range(len(g)) if b[j] == g[j])
+                rows.add((a, b, len(bound), bound, cells))
+    return rows
+
+
+def set_bits(x: int) -> list[int]:
+    """Positions of the set bits of x, lowest first."""
+    return [k for k, c in enumerate(reversed(bin(x))) if c == "1"]
+
+
+def decode(P, cell: int) -> tuple:
+    """The exponent vector of a box cell, last coordinate fastest."""
+    a = []
+    for e in reversed(P.g):
+        cell, x = divmod(cell, e + 1)
+        a.append(x)
+    return tuple(reversed(a))
+
+
+def catalogue_rows(P) -> set:
+    """P's rows in the form of brute_force_rows, with each top decoded from
+    its cell, rho read off row_rho_nz, and the covered cells off row_mask."""
+    rows = set()
+    for r, (e, t) in enumerate(zip(P.row_bottom, P.row_top)):
+        b = decode(P, t)
+        rho_b = P.row_rho_nz[r] + P.zero_axes
+        bound = frozenset(j for j in range(P.n) if b[j] == P.g[j])
+        cells = frozenset(P.coords[k] for k in set_bits(P.row_mask[r]))
+        rows.add((P.coords[e], b, rho_b, bound, cells))
+    return rows
+
+
+def assert_catalogue_matches_definition(F):
+    """Rows, their order, rows_with (built from the byte-packed bound
+    patterns) and reach against the definition."""
+    P = char_poset(F)
+    assert catalogue_rows(P) == brute_force_rows(F)
+    assert len(set(zip(P.row_bottom, P.row_top))) == len(P.row_top)
+    rhos = [x + P.zero_axes for x in P.row_rho_nz]
+    assert P.row_bottom == sorted(P.row_bottom)
+    best = []
+    for e, group in itertools.groupby(range(len(rhos)), P.row_bottom.__getitem__):
+        own = list(group)
+        assert decode(P, P.row_top[own[0]]) == P.coords[e]
+        assert [rhos[r] for r in own] == sorted(rhos[r] for r in own)
+        best.append(rhos[own[-1]])
+    assert P.reach == min(best)
+    rows_with = [0] * len(P.coords)
+    for r, m in enumerate(P.row_mask):
+        for e in set_bits(m):
+            rows_with[e] |= 1 << r
+    assert P.rows_with == rows_with
+    assert [r for r in range(len(rhos)) if P.live_rows(P.reach) >> r & 1] == [
+        r for r, x in enumerate(rhos) if x >= P.reach]
+
+
+def pad(F, positions, total):
+    """F in a ring of total variables, its axes at the given positions and
+    every other variable in no generator."""
+    def spread(gens):
+        out = []
+        for m in gens:
+            v = [0] * total
+            for p, e in zip(positions, m):
+                v[p] = e
+            out.append(tuple(v))
+        return out
+    return Factor(MonomialIdeal(total, spread(F.I.gens)),
+                  MonomialIdeal(total, spread(F.J.gens)))
+
+
+class TestCatalogue:
+    @given(helpers.factors(nmax=4, emax=3))
+    def test_rows_match_the_definition(self, F):
+        assert_catalogue_matches_definition(F)
+
+    @given(helpers.factors(nmax=3, emax=3), st.data())
+    def test_unused_variables(self, F, data):
+        total = F.n + data.draw(st.integers(1, 3))
+        positions = sorted(data.draw(st.permutations(range(total)))[:F.n])
+        assert_catalogue_matches_definition(pad(F, positions, total))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nine_and_more_variables(self, seed):
+        # patterns of n >= 9 axes take two bytes a row; I has squarefree
+        # degree-2 generators, J multiplies three of them by five variables,
+        # and the first of each has x1^2
+        rng = random.Random(seed)
+        n = 9 + seed % 2
+        def monomial(support, square=False):
+            return tuple(2 if square and j == 0 else int(j in support) for j in range(n))
+        I = [set(rng.sample(range(n), 2)) for _ in range(4)]
+        J = [S | set(rng.sample(range(n), 5)) for S in I[:3]]
+        F = Factor(MonomialIdeal(n, [monomial(S, k == 0) for k, S in enumerate(I)]),
+                   MonomialIdeal(n, [monomial(S, k == 0) for k, S in enumerate(J)]))
+        assert len(char_poset(F).coords) > 100
+        assert_catalogue_matches_definition(F)
+
+    def test_rho_past_a_byte(self):
+        # 297 variables in no generator put every top's rho above 255
+        names = ", ".join(f"x{i}" for i in range(300))
+        F = fac(names, "x1*x150, x299^2", "x1^2*x150*x299^2, x1*x150^3")
+        small = fac("x, y, z", "x*y, z^2", "x^2*y*z^2, x*y^3")
+        assert_catalogue_matches_definition(F)
+        value, cert = sdepth(F)
+        assert value == 298 == sdepth(small)[0] + 297
+        assert verify_decomposition(F, cert, value)
+        P = char_poset(F)
+        assert exists_partition(P, 299) is None
+
+
 class TestExistsPartition:
     def test_two_variable_maximal_ideal(self):
         P = char_poset(fac("x, y", "x, y"))
@@ -360,7 +485,7 @@ class TestNodeCheck:
         P = char_poset(F)
         refutes = _truncated_check(P, d)
         full = (1 << len(P.coords)) - 1
-        live = [r for r, x in enumerate(P.row_rho) if x >= d]
+        live = set_bits(P.live_rows(d))
         rng = random.Random(n * 100 + k)
         intervals = level_intervals(frozenset(P.coords), P.g, d)
         memo: dict = {}
