@@ -175,6 +175,7 @@ def cmd_check(args) -> int:
         from .randomgen import random_factor
 
         for i in range(count):
+            check_deadline(deadline)
             jobs.append((f"random[{i}]", random_factor(rng, n, gmax)))
     records = []
     for label, F in jobs:

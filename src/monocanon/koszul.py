@@ -89,6 +89,10 @@ from .limits import DEFAULT_BOX_CAP, box_volume, check_deadline
 
 DEFAULT_PRIME = 32003
 
+# _is_prime is exact below this bound, the least strong pseudoprime to all
+# of its twelve bases 2..37 (Sorenson and Webster, Math. Comp. 2017).
+_PRIME_TEST_BOUND = 318665857834031151167461
+
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -102,7 +106,7 @@ def _is_prime(p: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in small:  # deterministic for p < 3.3 * 10^24
+    for a in small:
         x = pow(a, d, p)
         if x in (1, p - 1):
             continue
@@ -127,11 +131,13 @@ class Rationals:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The field Z/p for a prime p."""
+    """The field Z/p for a prime p below _PRIME_TEST_BOUND."""
 
     p: int
 
     def __post_init__(self):
+        if self.p >= _PRIME_TEST_BOUND:
+            raise ValueError(f"{self.p} is too large to test for primality")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
@@ -352,21 +358,19 @@ def _lcm_lattice(codes, deadline) -> set[int]:
     return lattice
 
 
-def depth(F: Factor, field: FieldChoice = Rationals(), *, pad: int = 0,
+def depth(F: Factor, field: FieldChoice = Rationals(), *,
           box_cap: int = DEFAULT_BOX_CAP, deadline: float | None = None,
           trace=None) -> int:
     """depth of I/J: n minus the top nonvanishing Koszul homology index.
 
     Only the lcm lattices of G(I) and G(J) are scanned (see the module
     docstring), so the cost follows the number of distinct generator lcms,
-    not the size of the exponents.  pad enlarges the box [0, g] to
-    [0, g + pad] for the box_cap check only: every lattice point already
-    lies in [0, g], so padding never changes the scan or the answer.  trace,
-    if given, is called with (multidegree, present-subset count, homology
-    dims) for every lattice slice with a present subset.  The homology
-    profile is checked to be gap-free before returning.
+    not the size of the exponents.  trace, if given, is called with
+    (multidegree, present-subset count, homology dims) for every lattice
+    slice with a present subset.  The homology profile is checked to be
+    gap-free before returning.
     """
-    box_volume([e + pad for e in F.join_exponents()], box_cap, "Koszul box")
+    box_volume(F.join_exponents(), box_cap, "Koszul box")
     gens, _, fields, decode = _rank_coding(F)
     points = sorted(_lcm_lattice(gens[0], deadline) | _lcm_lattice(gens[1], deadline))
     n = F.n

@@ -8,11 +8,12 @@ rho(b) = #{j : b_j = g_j} over the interval tops; the Stanley depth of I/J
 is the best achievable minimum over all interval partitions
 (Herzog-Vladoiu-Zheng, J. Algebra 2009).
 
-char_poset builds one frozen record: the poset together with the rows of
-its exact cover, for every element a each interval [a, b] inside the element
-set whose top has every b_j in {a_j, g_j}.  exists_partition decides one
-level d.  It refutes d without search when some element starts no row that
-reaches d.  Otherwise it solves an exact cover problem over the rows.
+char_poset builds one frozen record, never written to after the build: the
+poset together with the rows of its exact cover, for every element a each
+interval [a, b] inside the element set whose top has every b_j in
+{a_j, g_j}.  exists_partition decides one level d.  It refutes d without
+search when some element starts no row that reaches d.  Otherwise it
+solves an exact cover problem over the rows.
 Elements are numbered in lex order; a row stores the elements it covers as
 a bitmask, and an element stores the rows that contain it as a bitmask.
 A row's top is kept as its cell index and its rho as a byte, and the build
@@ -20,12 +21,13 @@ packs its bound pattern into bytes, so the rows on the bound along an axis,
 or reaching a level, are one bytes.translate of a column of those records.
 The search is Algorithm X on those bitsets (Knuth, Dancing Links, 2000): it
 branches on the uncovered element with the fewest rows still compatible
-with the choices made so far, biggest intervals first.  One Hilbert-series
-test refutes a set U of elements when the truncated polynomial
-sum over a in U with rho(a) <= d of t^|a| (1-t)^(d - rho(a)) has a
-negative coefficient.  It runs on the whole element set before the search,
-where it subsumes the bound that a Stanley decomposition of depth >= d
-makes (1-t)^d H(t) nonnegative, H(t) being the Hilbert series of I/J
+with the choices made so far, biggest intervals first; a chosen row drops
+the rows that meet it, the OR of rows_with over its elements.  One
+Hilbert-series test refutes a set U of elements when the truncated
+polynomial sum over a in U with rho(a) <= d of t^|a| (1-t)^(d - rho(a))
+has a negative coefficient.  It runs on the whole element set before the
+search, where it subsumes the bound that a Stanley decomposition of depth
+>= d makes (1-t)^d H(t) nonnegative, H(t) being the Hilbert series of I/J
 (Uliczka, Manuscripta Math. 2010), and on the uncovered set of every node
 from a level's first dead end on.  No U that the rows partition is refuted
 (see exists_partition).  The search is complete and the rows lose no
@@ -118,11 +120,11 @@ class CharacteristicPoset:
     is rho(b) less zero_axes, the count of axes with g_j = 0: those are on
     the bound in every row, and a box that can be built has under 256 more.
     row_mask[r] has bit e for each element e (numbered as in coords) that
-    the row covers, rows_with[e] has bit r for each row that covers element
-    e, and conflict[r], filled on first use by conflicts, has a bit for
-    every row that meets row r.  reach is the largest d for which every
-    element is the bottom of some row with rho >= d.  degree_classes maps
-    (|a|, rho(a)) to the bitmask of the elements a with that degree and rho.
+    the row covers, and rows_with[e] has bit r for each row that covers
+    element e.  reach is the largest d for which every element is the bottom
+    of some row with rho >= d.  degree_classes maps (|a|, rho(a)) to the
+    bitmask of the elements a with that degree and rho.  Nothing is written
+    to the record after char_poset returns, so searches may share it.
     """
 
     n: int
@@ -136,9 +138,7 @@ class CharacteristicPoset:
     row_rho_nz: bytes
     zero_axes: int
     row_mask: list[int]
-    row_size: list[int]
     rows_with: list[int]
-    conflict: list[int | None]
     reach: int
     degree_classes: dict[tuple[int, int], int]
 
@@ -149,17 +149,6 @@ class CharacteristicPoset:
         """Bitmask of the rows whose top has rho >= d."""
         t = max(d - self.zero_axes, 0)
         return _column(self.row_rho_nz, b"0" * t + b"1" * (256 - t))
-
-    def conflicts(self, r: int, deadline: float | None) -> int:
-        c = self.conflict[r]
-        if c is None:
-            c = 0
-            for k, e in enumerate(_bits(self.row_mask[r])):
-                if not k % 256:
-                    check_deadline(deadline)
-                c |= self.rows_with[e]
-            self.conflict[r] = c
-        return c
 
 
 def _cell_coords(idx: int, strides) -> Monomial:
@@ -266,8 +255,7 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
         rows_with.append(w)
     return CharacteristicPoset(
         n, g, strides, volume, coords, elem_mask, bottom, top,
-        bytes(map(int.bit_count, pattern)), zero_axes, mask,
-        list(map(int.bit_count, mask)), rows_with, [None] * len(top), reach,
+        bytes(map(int.bit_count, pattern)), zero_axes, mask, rows_with, reach,
         classes)
 
 
@@ -372,7 +360,7 @@ def exists_partition(poset: CharacteristicPoset, d: int,
     uncovered = (1 << len(poset.coords)) - 1
     if refutes is not None and refutes(uncovered):
         return None
-    rows_with, size = poset.rows_with, poset.row_size
+    rows_with, row_mask = poset.rows_with, poset.row_mask
 
     def candidates(uncovered: int, live: int) -> list[int]:
         """Live rows of the uncovered element with the fewest, biggest first."""
@@ -386,7 +374,8 @@ def exists_partition(poset: CharacteristicPoset, d: int,
                 if count <= 1:
                     break
         # the sort is stable under reverse, so equal sizes stay in row order
-        return sorted(_bits(rows_with[best] & live), key=size.__getitem__, reverse=True)
+        return sorted(_bits(rows_with[best] & live),
+                      key=lambda r: row_mask[r].bit_count(), reverse=True)
 
     live = poset.live_rows(d)
     # a frame is [uncovered, live, candidates, next candidate]
@@ -412,7 +401,7 @@ def exists_partition(poset: CharacteristicPoset, d: int,
         if deadline is not None and not nodes % 256:
             check_deadline(deadline)
         r = cands[i]
-        remaining = uncovered & ~poset.row_mask[r]
+        remaining = uncovered & ~row_mask[r]
         if check is not None and check(remaining):
             continue
         chosen.append(r)
@@ -421,7 +410,12 @@ def exists_partition(poset: CharacteristicPoset, d: int,
                 (poset.coords[poset.row_bottom[c]],
                  _cell_coords(poset.row_top[c], poset.strides)) for c in chosen
             ))
-        live &= ~poset.conflicts(r, deadline)
+        meets = 0  # the rows that share an element with row r
+        for k, e in enumerate(_bits(row_mask[r])):
+            if not k % 256:
+                check_deadline(deadline)
+            meets |= rows_with[e]
+        live &= ~meets
         stack.append([remaining, live, candidates(remaining, live), 0])
     return None
 

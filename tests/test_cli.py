@@ -91,6 +91,13 @@ class TestDepth:
         assert main(["depth", "--field", "p15", write(MAXIMAL)]) == EXIT_USAGE
         assert "error" in capsys.readouterr().err
 
+    def test_field_past_the_primality_bound(self, write, capsys):
+        # a strong pseudoprime to the bases 2..37, 399165290221 * 798330580441
+        args = ["depth", "--field", "p318665857834031151167461", write(MAXIMAL)]
+        assert main(args) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "too large" in err
+
     def test_trace_lines_on_stderr(self, write, capsys):
         assert main(["depth", "--trace", write("ring x, y;\nI = 1;\nJ = x*y;\n")]) == EXIT_OK
         captured = capsys.readouterr()
@@ -265,6 +272,14 @@ class TestTimeout:
         monkeypatch.setattr("monocanon.cli.deadline_from_timeout",
                             lambda seconds: time.monotonic() - 1.0)
         assert main([command, write(QUOTIENT), "--timeout", "60"]) == EXIT_RESOURCE
+        assert capsys.readouterr() == ("", "resource limit: wall-clock deadline exceeded\n")
+
+    def test_check_stops_drawing_random_factors_at_the_deadline(self, capsys):
+        # drawing all 300,000 factors takes far longer than the timeout
+        start = time.monotonic()
+        args = ["check", "--random", "1", "1", "300000", "1", "--timeout", "0.2"]
+        assert main(args) == EXIT_RESOURCE
+        assert time.monotonic() - start < 5.0
         assert capsys.readouterr() == ("", "resource limit: wall-clock deadline exceeded\n")
 
     @pytest.mark.parametrize("command", ["depth", "sdepth", "check"])

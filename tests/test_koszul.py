@@ -35,6 +35,18 @@ class TestFields:
         assert str(PrimeField(32003)) == "GF(32003)"
         assert str(Rationals()) == "Q"
 
+    @pytest.mark.parametrize("p", [
+        318665857834031151167461,  # 399165290221 * 798330580441
+        3317044064679887385961981,  # 1287836182261 * 2575672364521
+    ])
+    def test_rejects_strong_pseudoprimes_past_the_proven_bound(self, p):
+        # both pass Miller-Rabin to every base 2..37
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(p)
+
+    def test_accepts_a_large_prime_below_the_bound(self):
+        assert PrimeField(2**61 - 1).p == 2**61 - 1
+
     def test_parse_field(self):
         assert parse_field("q") == Rationals()
         assert parse_field("p32003") == PrimeField(32003)
@@ -325,13 +337,6 @@ class TestDepth:
         ]:
             assert depth(F) == depth(F, PrimeField(32003))
 
-    def test_pad_does_not_change_the_answer(self):
-        for F in [
-            fac("x, y", "x^2, x*y"),
-            fac("x, y, z", "x*y, y*z", "x*y*z^2"),
-        ]:
-            assert depth(F) == depth(F, pad=1) == depth(F, pad=2)
-
     def test_box_cap(self):
         with pytest.raises(BoxCapError, match="cap of 100"):
             depth(fac("x, y", "x^100*y^100"), box_cap=100)
@@ -412,7 +417,3 @@ class TestDepth:
     @given(helpers.factors(nmax=3, emax=2))
     def test_field_independence_property(self, F):
         assert depth(F) == depth(F, PrimeField(32003))
-
-    @given(helpers.factors(nmax=2, emax=2))
-    def test_pad_property(self, F):
-        assert depth(F) == depth(F, pad=1)

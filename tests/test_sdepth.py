@@ -1,5 +1,7 @@
 """Characteristic poset, interval partition search, and certificates."""
 
+import copy
+import dataclasses
 import functools
 import itertools
 import random
@@ -306,6 +308,16 @@ class TestExistsPartition:
             d for d in range(P.n + 1) if exists_partition(P, d) is not None
         ]
         assert feasible == list(range(len(feasible)))
+
+    @given(helpers.factors(nmax=3, emax=2))
+    def test_search_leaves_the_poset_unchanged(self, F):
+        P = char_poset(F)
+        names = [f.name for f in dataclasses.fields(P)]
+        before = {name: copy.deepcopy(getattr(P, name)) for name in names}
+        for d in range(P.n + 1):
+            exists_partition(P, d)
+        for name, value in before.items():
+            assert getattr(P, name) == value, name
 
 
 def veronese_factor(n, k, j=None):
