@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import compress
-from operator import and_, eq
+from operator import and_, eq, le
 
 Monomial = tuple[int, ...]
 
@@ -126,7 +126,10 @@ class MonomialIdeal:
             raise DimensionError(
                 f"monomial {m} has {len(m)} exponents, expected {self.n}"
             )
-        return any(divides(g, m) for g in self.gens)
+        for g in self.gens:
+            if all(map(le, g, m)):
+                return True
+        return False
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         """True iff other is a subset of self."""
@@ -151,7 +154,7 @@ class MonomialIdeal:
 class Factor:
     """The factor module I/J; J must be strictly contained in I (J = 0 allowed)."""
 
-    __slots__ = ("I", "J")
+    __slots__ = ("I", "J", "_join")
 
     def __init__(self, I: MonomialIdeal, J: MonomialIdeal | None = None):
         if J is None:
@@ -167,6 +170,8 @@ class Factor:
             raise FactorError("J equals I; the factor I/J would be zero")
         object.__setattr__(self, "I", I)
         object.__setattr__(self, "J", J)
+        object.__setattr__(
+            self, "_join", tuple(map(max, zip((0,) * I.n, *I.gens, *J.gens))))
 
     def __setattr__(self, name, value):
         raise AttributeError("Factor is immutable")
@@ -181,7 +186,7 @@ class Factor:
 
     def join_exponents(self) -> Monomial:
         """Componentwise maximum over all generators of I and J."""
-        return tuple(map(max, zip((0,) * self.n, *self.union_gens())))
+        return self._join
 
     def support(self, a) -> bool:
         """True iff x^a lies in I but not in J."""

@@ -300,13 +300,14 @@ def homology_profile(n: int, present_mask: int, field: FieldChoice = Rationals()
 def _rank_coding(F: Factor, *extra):
     """The rank codes (see the module docstring) of G(I) and G(J), as a pair,
     and of extra, the field of each axis, and the decoder of a code."""
-    values = [sorted(set(col)) for col in zip((0,) * F.n, *F.union_gens(), *extra)]
+    values = [sorted({0, *col}) for col in zip(*F.I.gens, *F.J.gens, *extra)]
     shift = sum(map(len, values)) - F.n  # total width: one bit per nonzero rank
-    ranks = []
+    ranks, fields = [], []
     for vs in values:
         shift -= len(vs) - 1
-        ranks.append({v: ((1 << r) - 1) << shift for r, v in enumerate(vs)})
-    fields = [r[vs[-1]] for r, vs in zip(ranks, values)]
+        rank = {v: ((1 << r) - 1) << shift for r, v in enumerate(vs)}
+        ranks.append(rank)
+        fields.append(rank[vs[-1]])
     encode = lambda m: sum(map(getitem, ranks, m))  # fields are disjoint: + is |
     decode = lambda c: tuple(vs[(c & f).bit_count()] for vs, f in zip(values, fields))
     gens = ([*map(encode, F.I.gens)], [*map(encode, F.J.gens)])

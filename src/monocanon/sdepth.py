@@ -39,9 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, count
 from math import comb
-from operator import eq
+from operator import eq, le, mul
 
 from .ideals import DimensionError, Factor, Monomial, deglex_key
 from .limits import DEFAULT_BOX_CAP, SearchBudgetError, box_volume, check_deadline
@@ -71,18 +71,20 @@ def _block_mask(lo, hi, strides) -> int:
     """
     block = (1 << (hi[-1] - lo[-1] + 1)) - 1
     for j in range(len(strides) - 2, -1, -1):
-        s, c = strides[j], hi[j] - lo[j] + 1
-        copies, done, k = 0, 0, 1  # block holds k copies; done are placed
-        while c > 0:
-            if c & 1:
-                copies |= block << (done * s)
-                done += k
-            c >>= 1
-            if c:
-                block |= block << (k * s)
-                k *= 2
-        block = copies
-    return block << sum(e * s for e, s in zip(lo, strides))
+        c = hi[j] - lo[j] + 1
+        if c > 1:
+            s = strides[j]
+            copies, done, k = 0, 0, 1  # block holds k copies; done are placed
+            while c > 0:
+                if c & 1:
+                    copies |= block << (done * s)
+                    done += k
+                c >>= 1
+                if c:
+                    block |= block << (k * s)
+                    k *= 2
+            block = copies
+    return block << sum(map(mul, lo, strides))
 
 
 def _element_set(F: Factor, box_cap: int, deadline: float | None):
@@ -147,8 +149,7 @@ class CharacteristicPoset:
 
     def live_rows(self, d: int) -> int:
         """Bitmask of the rows whose top has rho >= d."""
-        t = max(d - self.zero_axes, 0)
-        return _column(self.row_rho_nz, b"0" * t + b"1" * (256 - t))
+        return _column(self.row_rho_nz, _AT_LEAST[max(d - self.zero_axes, 0)])
 
 
 def _cell_coords(idx: int, strides) -> Monomial:
@@ -166,6 +167,8 @@ def _column(records: bytes, table: bytes) -> int:
 
 
 _BIT = [(b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8)]
+# _AT_LEAST[t] maps a byte to b"1" iff it is at least t
+_AT_LEAST = [b"0" * t + b"1" * (256 - t) for t in range(256)]
 
 
 # Restricting tops to b_j in {a_j, g_j} loses no partition.  Take any
@@ -182,81 +185,84 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
     once deadline passes."""
     g, strides, volume, elem_mask = _element_set(F, box_cap, deadline)
     n = len(g)
-    cells, coords = [], []
-    for k, idx in enumerate(_bits(elem_mask)):
-        if deadline is not None and not k % 4096:
-            check_deadline(deadline)
-        cells.append(idx)
-        coords.append(_cell_coords(idx, strides))
+    cells = _bits(elem_mask)
+    coords = []
+    for lo in range(0, len(cells), 4096):
+        check_deadline(deadline)
+        part = cells[lo:lo + 4096]
+        coords += zip(*[[c // s % (y + 1) for c in part] for s, y in zip(strides, g)])
     coords = tuple(coords)
 
-    index = {c: i for i, c in enumerate(cells)}
-    below: list[list] = [[None] * n for _ in coords]  # below[e][j]: e - e_j
+    size = len(cells)
+    index = dict(zip(cells, range(size)))
+    below = [[-1] * size for _ in g]  # below[j][e]: e - e_j
     bit = [1 << j if y else 0 for j, y in enumerate(g)]  # of bound patterns
     zero_axes = g.count(0)
     # [a, b'] with b'_j = g_j > a_j = b_j is [a, b] plus [a + e_j, b'], a row
     # of a lex-later element with the same top cell, so rows are built from
     # the last element down, each only from a smaller row that fits
     # (Apriori), breadth first.  tops[i] maps the top cells of element i's
-    # rows to their masks; grown[i] lists the rows as (top cell, mask,
-    # pattern {j : b_j = g_j > 0}, first entry of raisable left to raise).
-    tops: list[dict] = [None] * len(coords)
-    grown: list[list] = [None] * len(coords)
-    classes: dict[tuple[int, int], int] = {}
-    for i in range(len(coords) - 1, -1, -1):
+    # rows to their masks; grown[i] lists the rows flat, four ints a row:
+    # top cell, mask, pattern {j : b_j = g_j > 0}, first entry of raisable
+    # left to raise.
+    tops: list[dict] = [None] * size
+    grown: list[list] = [None] * size
+    classes: dict[int, int] = {}  # |a| * (n + 1) + rho(a) - zero_axes -> mask
+    for i in range(size - 1, -1, -1):
         if not i % 64:
             check_deadline(deadline)
         a = coords[i]
         c = cells[i]  # a + e_j is cell c + strides[j] while a_j < g_j
         raisable = []  # (pattern bit, rows of a + e_j, top cell shift)
-        for j, (s, x, y) in enumerate(zip(strides, a, g)):
-            if x < y and (k := index.get(c + s)) is not None:
-                below[k][j] = i
-                raisable.append((1 << j, tops[k], (y - x) * s))
-        p = sum(compress(bit, map(eq, a, g)))
-        key = (sum(a), p.bit_count() + zero_axes)
-        classes[key] = classes.get(key, 0) | 1 << i
-        rows = {c: 1 << i}
-        grow = [(c, 1 << i, p, 0)]
-        for t, m, p, start in grow:
+        p = 0
+        for s, x, y, axis, down in zip(strides, a, g, bit, below):
+            if x < y:
+                if (k := index.get(c + s)) is not None:
+                    down[k] = i
+                    raisable.append((axis, tops[k], (y - x) * s))
+            else:
+                p |= axis
+        m = 1 << i
+        key = sum(a) * (n + 1) + p.bit_count()
+        classes[key] = classes.get(key, 0) | m
+        tops[i] = rows = {c: m}
+        grown[i] = grow = [c, m, p, 0, p.bit_count(), i]
+        it = iter(grow)
+        for t, m, p, start, rho, _ in zip(it, it, it, it, it, it):
             for q in range(start, len(raisable)):
                 axis, above_rows, shift = raisable[q]
                 b = t + shift
                 above = above_rows.get(b)
                 if above is not None:
                     rows[b] = above = m | above
-                    grow.append((b, above, p | axis, q + 1))
-        tops[i] = rows
-        grown[i] = grow
+                    grow += b, above, p | axis, q + 1, rho + 1, i
 
     check_deadline(deadline)
-    top, mask = [], []
-    for rows in tops:
-        top += rows
-        mask += rows.values()
-    pattern = [row[2] for row in chain.from_iterable(grown)]
-    first = [0, *accumulate(map(len, grown))]
-    bottom = [i for i, rows in enumerate(grown) for _ in rows]
-    reach = zero_axes + min(rows[-1][2].bit_count() for rows in grown)
-    nb = (n + 7) >> 3
-    bound = b"".join([p.to_bytes(nb, "little") for p in pattern])
+    flat = [*chain.from_iterable(grown)]
+    pattern = flat[2::6]
+    counts = [len(rows) for rows in tops]
+    first = [0, *accumulate(counts)]
+    reach = zero_axes + min([rows[-2] for rows in grown])
+    # on_bound[j] has bit r for each row r with b_j = g_j > 0, read off the
+    # patterns one byte lane at a time
+    lanes = [bytes([x >> s & 255 for x in pattern]) for s in range(0, n, 8)]
+    on_bound = [_column(lanes[j >> 3], _BIT[j & 7]) for j in range(n)]
     # A row [a, b] with a_j < e_j covers e iff it covers e - e_j and b_j = g_j,
     # so rows_with[e] is e's own rows plus, for each j, the rows of e - e_j
     # that are raised on axis j.
-    on_bound = [_column(bound[j >> 3::nb], _BIT[j & 7]) for j in range(n)]
     rows_with = []
-    for e in range(len(coords)):
+    for e in range(size):
         if not e % 64:
             check_deadline(deadline)
-        w = ((1 << (first[e + 1] - first[e])) - 1) << first[e]
-        for k, on in zip(below[e], on_bound):
-            if k is not None:
+        w = ((1 << counts[e]) - 1) << first[e]
+        for down, on in zip(below, on_bound):
+            if (k := down[e]) >= 0:
                 w |= rows_with[k] & on
         rows_with.append(w)
     return CharacteristicPoset(
-        n, g, strides, volume, coords, elem_mask, bottom, top,
-        bytes(map(int.bit_count, pattern)), zero_axes, mask, rows_with, reach,
-        classes)
+        n, g, strides, volume, coords, elem_mask,
+        flat[5::6], flat[::6], bytes(flat[4::6]), zero_axes, flat[1::6], rows_with, reach,
+        {(key // (n + 1), key % (n + 1) + zero_axes): m for key, m in classes.items()})
 
 
 @dataclass(frozen=True)
@@ -269,13 +275,21 @@ class IntervalPartition:
         return [[list(a), list(b)] for a, b in self.intervals]
 
 
-def _bits(x: int):
-    """Positions of the set bits of x, lowest first."""
+def _bits(x: int) -> list[int]:
+    """Positions of the set bits of x, lowest first.  A dense x has each of
+    its binary digits looked at in C; a sparse one is searched for its ones."""
     s = bin(x)[:1:-1]
+    if x.bit_count() << 3 > len(s):
+        return [*compress(count(), s.encode().translate(_DIGIT))]
+    out = []
     i = s.find("1")
     while i >= 0:
-        yield i
+        out.append(i)
         i = s.find("1", i + 1)
+    return out
+
+
+_DIGIT = bytes.maketrans(b"01", b"\0\1")
 
 
 @cache
@@ -298,17 +312,19 @@ def _truncated_check(poset: CharacteristicPoset, d: int):
     negative coefficient iff some field's top bit is clear.  A U with no
     element of rho < d is passed without the sum.
     """
-    terms = [(m, k, d - r) for (k, r), m in poset.degree_classes.items() if r <= d]
-    low = 0
-    for m, _, e in terms:
-        if e:
-            low |= m
+    w = (len(poset.coords) << d).bit_length() + 1
+    low = top = 0  # the elements with rho < d; the highest degree of P_U
+    packed = []
+    for (k, r), m in poset.degree_classes.items():
+        if r <= d:
+            if r < d:
+                low |= m
+            if k + d - r > top:
+                top = k + d - r
+            packed.append((m, _packed_power(d - r, w) << w * k))
     if not low:
         return None
-    w = (len(poset.coords) << d).bit_length() + 1
-    fields = max(k + e for _, k, e in terms) + 1
-    high = ((1 << w * fields) - 1) // ((1 << w) - 1) << w - 1
-    packed = [(m, _packed_power(e, w) << w * k) for m, k, e in terms]
+    high = ((1 << w * (top + 1)) - 1) // ((1 << w) - 1) << w - 1
 
     def refutes(uncovered: int) -> bool:
         if not uncovered & low:
@@ -406,10 +422,10 @@ def exists_partition(poset: CharacteristicPoset, d: int,
             continue
         chosen.append(r)
         if remaining == 0:
-            return IntervalPartition(tuple(
-                (poset.coords[poset.row_bottom[c]],
-                 _cell_coords(poset.row_top[c], poset.strides)) for c in chosen
-            ))
+            coords, bottom, top = poset.coords, poset.row_bottom, poset.row_top
+            return IntervalPartition(tuple([
+                (coords[bottom[c]], _cell_coords(top[c], poset.strides)) for c in chosen
+            ]))
         meets = 0  # the rows that share an element with row r
         for k, e in enumerate(_bits(row_mask[r])):
             if not k % 256:
@@ -446,15 +462,16 @@ def verify_decomposition(F: Factor, partition: IntervalPartition, d: int,
     coordinates are decoded and no rows are built.  A passed deadline,
     checked every 256 intervals, raises TimeLimitError."""
     g, strides, _, elem_mask = _element_set(F, box_cap, deadline)
+    n = len(g)
     covered = 0
     for k, (a, b) in enumerate(partition.intervals):
         if not k % 256:
             check_deadline(deadline)
-        if len(a) != len(g) or len(b) != len(g):
+        if len(a) != n or len(b) != n:
             return False
-        if any(x < 0 or x > y or y > gj for x, y, gj in zip(a, b, g)):
+        if min(a) < 0 or not all(map(le, a, b)) or not all(map(le, b, g)):
             return False
-        if rho(b, g) < d:
+        if sum(map(eq, b, g)) < d:  # rho(b, g)
             return False
         mask = _block_mask(a, b, strides)
         if covered & mask:  # overlap
