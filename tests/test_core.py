@@ -1,7 +1,7 @@
 """Monomials, ideals, factors, and the ideal file grammar."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import helpers
 from helpers import fac, gens_of, ideal
@@ -120,6 +120,12 @@ class TestMonomialIdeal:
         assert I.contains_ideal(ideal("x, y", "x^3, x*y"))
         assert not I.contains_ideal(ideal("x, y", "y"))
 
+    @given(helpers.ideals(nmax=4, emax=4, min_gens=0), st.data())
+    def test_contains_agrees_with_divides(self, I, data):
+        m = data.draw(st.tuples(*[st.integers(0, 5)] * I.n))
+        assert I.contains(m) == any(divides(g, m) for g in I.gens)
+        assert I.contains(list(m)) == I.contains(m)
+
     def test_zero_ideal_contains_nothing(self):
         assert not MonomialIdeal(2).contains((0, 0))
 
@@ -175,6 +181,13 @@ class TestFactor:
         assert F.join_exponents() == (100, 50, 50)
         assert fac("x, y, z", "x^2*y*z, x*y*z^2, x*y^2*z").join_exponents() == (2, 2, 2)
         assert fac("x, y, z", "1").join_exponents() == (0, 0, 0)
+
+    @given(helpers.factors(nmax=4, emax=4))
+    @example(fac("x, y, z", "x", "x*y^3"))  # y and z only in J, z in neither
+    @example(fac("x, y", "x^2*y"))  # J = 0
+    def test_join_exponents_is_the_componentwise_max(self, F):
+        gens = F.I.gens + F.J.gens
+        assert F.join_exponents() == tuple(max(m[j] for m in gens) for j in range(F.n))
 
     def test_support(self):
         F = fac("x, y", "x^2, x*y", "x^3, x^2*y")

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import functools
+import hashlib
 import itertools
 import random
 import sys
@@ -28,6 +29,7 @@ from monocanon import (
     decomposition_lines,
     exists_partition,
     parse_problem,
+    random_factor,
     rho,
     sdepth,
     verify_decomposition,
@@ -605,6 +607,41 @@ class TestSdepth:
         assert sdepth(F)[0] == oracle.oracle_sdepth(F)
 
 
+def certificate_digest(factors) -> str:
+    """sha256 over the sdepth value and certificate of each factor, in order."""
+    h = hashlib.sha256()
+    for F in factors:
+        d, cert = sdepth(F, node_budget=20000)
+        assert verify_decomposition(F, cert, d)
+        h.update(repr((d, cert.intervals)).encode())
+    return h.hexdigest()
+
+
+class TestPinnedCertificates:
+    """The sdepth values and certificates the search returns, hashed.
+
+    Row numbering, candidate order and the node check decide which of the
+    many partitions of a level the search finds first, so these digests
+    pin the search order, not only the answers.  A change that moves the
+    search order changes them: it updates the digests here and lists the
+    update, and why the certificates moved, in CHANGES.md.
+    """
+
+    def test_random_sample(self):
+        rng = random.Random(7)
+        factors = [random_factor(rng, rng.randint(1, 4), 3) for _ in range(300)]
+        assert certificate_digest(factors) == (
+            "1167d80ba8e88d382259335c84fafad544b442e7b30889d1daa7a02582e4ecbd")
+
+    def test_veronese_ladder(self):
+        # the factors of the benchmark's search workload
+        factors = [veronese_factor(5, 1), veronese_factor(5, 2),
+                   veronese_factor(6, 3, 5), veronese_factor(6, 2, 5),
+                   veronese_factor(6, 1), veronese_factor(6, 3)]
+        assert certificate_digest(factors) == (
+            "7bcfbc0c5fec732745a67dcd12ec7c391899d6ad1be18916bc0528a3dbe8fc80")
+
+
 class TestVerifyDecomposition:
     def setup_method(self):
         self.F = fac("x, y", "x, y")
@@ -635,6 +672,24 @@ class TestVerifyDecomposition:
     def test_rejects_wrong_arity(self):
         bad = IntervalPartition((((0,), (1,)),))
         assert not verify_decomposition(self.F, bad, 0)
+
+    def test_rejects_malformed_tops_in_three_variables(self):
+        F = fac("x, y, z", "x*y, y*z", "x*y*z^2")
+        d, cert = sdepth(F)
+        g = F.join_exponents()
+        (a, b), rest = cert.intervals[0], cert.intervals[1:]
+        assert verify_decomposition(F, cert, d)
+        for top in [(g[0] + 1,) + b[1:],  # b_0 past g_0
+                    b[:2] + (g[2] + 1,),  # b_2 past g_2
+                    b + (0,), b[:2]]:  # one exponent too many, one too few
+            bad = IntervalPartition(((a, top),) + rest)
+            assert not verify_decomposition(F, bad, 0)
+        # read as box cells, [(0, 0, 1), (0, 0, 2)] is cells 1 and 2 of the
+        # box [0, (1, 1, 1)]: (0, 0, 1) and (0, 1, 0), both elements of m_3
+        m3 = fac("x, y, z", "x, y, z")
+        rest = [(c, c) for c in [(0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]]
+        wrapped = IntervalPartition((((0, 0, 1), (0, 0, 2)), *rest))
+        assert not verify_decomposition(m3, wrapped, 0)
 
     def test_deadline(self):
         with pytest.raises(TimeLimitError):
