@@ -389,9 +389,11 @@ def exists_partition(poset: CharacteristicPoset, d: int,
                 best, fewest = e, count
                 if count <= 1:
                     break
-        # the sort is stable under reverse, so equal sizes stay in row order
-        return sorted(_bits(rows_with[best] & live),
-                      key=lambda r: row_mask[r].bit_count(), reverse=True)
+        rows = _bits(rows_with[best] & live)
+        if len(rows) > 1:
+            # the sort is stable under reverse, so equal sizes stay in row order
+            rows.sort(key=lambda r: row_mask[r].bit_count(), reverse=True)
+        return rows
 
     live = poset.live_rows(d)
     # a frame is [uncovered, live, candidates, next candidate]
