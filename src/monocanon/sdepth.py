@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, compress, count
+from itertools import accumulate, chain, compress, count, repeat
 from math import comb
 from operator import eq, le, mul
 
@@ -226,23 +226,23 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
         key = sum(a) * (n + 1) + p.bit_count()
         classes[key] = classes.get(key, 0) | m
         tops[i] = rows = {c: m}
-        grown[i] = grow = [c, m, p, 0, p.bit_count(), i]
+        grown[i] = grow = [c, m, p, 0]
         it = iter(grow)
-        for t, m, p, start, rho, _ in zip(it, it, it, it, it, it):
+        for t, m, p, start in zip(it, it, it, it):
             for q in range(start, len(raisable)):
                 axis, above_rows, shift = raisable[q]
                 b = t + shift
                 above = above_rows.get(b)
                 if above is not None:
                     rows[b] = above = m | above
-                    grow += b, above, p | axis, q + 1, rho + 1, i
+                    grow += b, above, p | axis, q + 1
 
     check_deadline(deadline)
     flat = [*chain.from_iterable(grown)]
-    pattern = flat[2::6]
+    pattern = flat[2::4]
     counts = [len(rows) for rows in tops]
     first = [0, *accumulate(counts)]
-    reach = zero_axes + min([rows[-2] for rows in grown])
+    reach = zero_axes + min(map(int.bit_count, [rows[-2] for rows in grown]))
     # on_bound[j] has bit r for each row r with b_j = g_j > 0, read off the
     # patterns one byte lane at a time
     lanes = [bytes([x >> s & 255 for x in pattern]) for s in range(0, n, 8)]
@@ -261,7 +261,8 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
         rows_with.append(w)
     return CharacteristicPoset(
         n, g, strides, volume, coords, elem_mask,
-        flat[5::6], flat[::6], bytes(flat[4::6]), zero_axes, flat[1::6], rows_with, reach,
+        [*chain.from_iterable(map(repeat, range(size), counts))], flat[::4],
+        bytes(map(int.bit_count, pattern)), zero_axes, flat[1::4], rows_with, reach,
         {(key // (n + 1), key % (n + 1) + zero_axes): m for key, m in classes.items()})
 
 
