@@ -120,7 +120,8 @@ class MonomialIdeal:
         return len(self.gens) == 1 and not any(self.gens[0])
 
     def contains(self, m) -> bool:
-        """Membership of x^m: some generator divides it."""
+        """Membership of x^m: some generator divides it (the length is
+        checked once, not per generator as divides would)."""
         m = tuple(m)
         if len(m) != self.n:
             raise DimensionError(
@@ -185,7 +186,8 @@ class Factor:
         return self.I.gens + self.J.gens
 
     def join_exponents(self) -> Monomial:
-        """Componentwise maximum over all generators of I and J."""
+        """Componentwise maximum over all generators of I and J, computed
+        once, when the factor is made."""
         return self._join
 
     def support(self, a) -> bool:

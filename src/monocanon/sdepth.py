@@ -17,8 +17,10 @@ solves an exact cover problem over the rows.
 Elements are numbered in lex order; a row stores the elements it covers as
 a bitmask, and an element stores the rows that contain it as a bitmask.
 A row's top is kept as its cell index and its rho as a byte, and the build
-packs its bound pattern into bytes, so the rows on the bound along an axis,
-or reaching a level, are one bytes.translate of a column of those records.
+packs its bound pattern into one byte string per eight axes, so the rows on
+the bound along an axis, or reaching a level, are one bytes.translate of
+such a string.  The rows are grown as runs of plain ints, with no object
+per row for the garbage collector to track.
 The search is Algorithm X on those bitsets (Knuth, Dancing Links, 2000): it
 branches on the uncovered element with the fewest rows still compatible
 with the choices made so far, biggest intervals first; a chosen row drops
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count
 from math import comb
 from operator import eq, le, mul
 
@@ -250,10 +252,11 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
     # A row [a, b] with a_j < e_j covers e iff it covers e - e_j and b_j = g_j,
     # so rows_with[e] is e's own rows plus, for each j, the rows of e - e_j
     # that are raised on axis j.
-    rows_with = []
+    rows_with, bottom = [], []
     for e in range(size):
         if not e % 64:
             check_deadline(deadline)
+        bottom += [e] * counts[e]
         w = ((1 << counts[e]) - 1) << first[e]
         for down, on in zip(below, on_bound):
             if (k := down[e]) >= 0:
@@ -261,7 +264,7 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
         rows_with.append(w)
     return CharacteristicPoset(
         n, g, strides, volume, coords, elem_mask,
-        [*chain.from_iterable(map(repeat, range(size), counts))], flat[::4],
+        bottom, flat[::4],
         bytes(map(int.bit_count, pattern)), zero_axes, flat[1::4], rows_with, reach,
         {(key // (n + 1), key % (n + 1) + zero_axes): m for key, m in classes.items()})
 
