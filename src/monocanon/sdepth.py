@@ -205,8 +205,8 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
     # the last element down, each only from a smaller row that fits
     # (Apriori), breadth first.  tops[i] maps the top cells of element i's
     # rows to their masks; grown[i] lists the rows flat, four ints a row:
-    # top cell, mask, pattern {j : b_j = g_j > 0}, first entry of raisable
-    # left to raise.
+    # top cell, mask, pattern {j : b_j = g_j > 0}, first entry of axes left
+    # to raise.
     tops: list[dict] = [None] * size
     grown: list[list] = [None] * size
     classes: dict[int, int] = {}  # |a| * (n + 1) + rho(a) - zero_axes -> mask
@@ -215,13 +215,15 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
             check_deadline(deadline)
         a = coords[i]
         c = cells[i]  # a + e_j is cell c + strides[j] while a_j < g_j
-        raisable = []  # (pattern bit, rows of a + e_j, top cell shift)
+        axes, aboves, shifts = [], [], []  # pattern bit, rows of a + e_j, top shift
         p = 0
         for s, x, y, axis, down in zip(strides, a, g, bit, below):
             if x < y:
                 if (k := index.get(c + s)) is not None:
                     down[k] = i
-                    raisable.append((axis, tops[k], (y - x) * s))
+                    axes.append(axis)
+                    aboves.append(tops[k])
+                    shifts.append((y - x) * s)
             else:
                 p |= axis
         m = 1 << i
@@ -231,13 +233,12 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
         grown[i] = grow = [c, m, p, 0]
         it = iter(grow)
         for t, m, p, start in zip(it, it, it, it):
-            for q in range(start, len(raisable)):
-                axis, above_rows, shift = raisable[q]
-                b = t + shift
-                above = above_rows.get(b)
+            for q in range(start, len(axes)):
+                b = t + shifts[q]
+                above = aboves[q].get(b)
                 if above is not None:
                     rows[b] = above = m | above
-                    grow += b, above, p | axis, q + 1
+                    grow += b, above, p | axes[q], q + 1
 
     check_deadline(deadline)
     flat = [*chain.from_iterable(grown)]
@@ -339,6 +340,24 @@ def _truncated_check(poset: CharacteristicPoset, d: int):
     return refutes
 
 
+def _candidates(uncovered: int, live: int, rows_with, row_mask, deadline) -> list[int]:
+    """Live rows of the uncovered element with the fewest, biggest first."""
+    best, fewest = 0, None
+    for k, e in enumerate(_bits(uncovered)):
+        if deadline is not None and not k % 64:
+            check_deadline(deadline)
+        count = (rows_with[e] & live).bit_count()
+        if fewest is None or count < fewest:
+            best, fewest = e, count
+            if count <= 1:
+                break
+    rows = _bits(rows_with[best] & live)
+    if len(rows) > 1:
+        # the sort is stable under reverse, so equal sizes stay in row order
+        rows.sort(key=lambda r: row_mask[r].bit_count(), reverse=True)
+    return rows
+
+
 def exists_partition(poset: CharacteristicPoset, d: int,
                      node_budget: int = DEFAULT_NODE_BUDGET,
                      deadline: float | None = None) -> IntervalPartition | None:
@@ -381,27 +400,10 @@ def exists_partition(poset: CharacteristicPoset, d: int,
     if refutes is not None and refutes(uncovered):
         return None
     rows_with, row_mask = poset.rows_with, poset.row_mask
-
-    def candidates(uncovered: int, live: int) -> list[int]:
-        """Live rows of the uncovered element with the fewest, biggest first."""
-        best, fewest = 0, None
-        for k, e in enumerate(_bits(uncovered)):
-            if deadline is not None and not k % 64:
-                check_deadline(deadline)
-            count = (rows_with[e] & live).bit_count()
-            if fewest is None or count < fewest:
-                best, fewest = e, count
-                if count <= 1:
-                    break
-        rows = _bits(rows_with[best] & live)
-        if len(rows) > 1:
-            # the sort is stable under reverse, so equal sizes stay in row order
-            rows.sort(key=lambda r: row_mask[r].bit_count(), reverse=True)
-        return rows
-
     live = poset.live_rows(d)
     # a frame is [uncovered, live, candidates, next candidate]
-    stack = [[uncovered, live, candidates(uncovered, live), 0]]
+    stack = [[uncovered, live,
+              _candidates(uncovered, live, rows_with, row_mask, deadline), 0]]
     chosen: list[int] = []
     nodes = 0
     check = None  # refutes, from the level's first dead end on
@@ -438,7 +440,8 @@ def exists_partition(poset: CharacteristicPoset, d: int,
                 check_deadline(deadline)
             meets |= rows_with[e]
         live &= ~meets
-        stack.append([remaining, live, candidates(remaining, live), 0])
+        stack.append([remaining, live,
+                      _candidates(remaining, live, rows_with, row_mask, deadline), 0])
     return None
 
 

@@ -50,7 +50,8 @@ def main() -> int:
             if run.returncode != 0 or run.stdout != outputs[command]:
                 failed = True
                 print(f"$ monocanon {command}: exit {run.returncode}\n"
-                      f"--- README\n{outputs[command]}--- printed\n{run.stdout}{run.stderr}")
+                      f"--- README\n{outputs[command]}"
+                      f"--- printed\n{run.stdout}{run.stderr}")
             else:
                 print(f"$ monocanon {command}: matches the README")
     return 1 if failed else 0
