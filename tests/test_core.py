@@ -183,7 +183,7 @@ class TestFactor:
         assert fac("x, y, z", "1").join_exponents() == (0, 0, 0)
 
     @given(helpers.factors(nmax=4, emax=4))
-    @example(fac("x, y, z", "x", "x*y^3"))  # y and z only in J, z in neither
+    @example(fac("x, y, z", "x", "x*y^3"))  # y only in J, z in neither
     @example(fac("x, y", "x^2*y"))  # J = 0
     def test_join_exponents_is_the_componentwise_max(self, F):
         gens = F.I.gens + F.J.gens
