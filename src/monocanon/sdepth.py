@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, compress, count
+from itertools import accumulate, chain, islice
 from math import comb
 from operator import eq, le, mul
 
@@ -187,11 +187,11 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
     once deadline passes."""
     g, strides, volume, elem_mask = _element_set(F, box_cap, deadline)
     n = len(g)
-    cells = _bits(elem_mask)
-    coords = []
-    for lo in range(0, len(cells), 4096):
+    bits = _bits(elem_mask)
+    cells, coords = [], []
+    while part := [*islice(bits, 4096)]:  # 4,096 elements between deadline checks
         check_deadline(deadline)
-        part = cells[lo:lo + 4096]
+        cells += part
         coords += zip(*[[c // s % (y + 1) for c in part] for s, y in zip(strides, g)])
     coords = tuple(coords)
 
@@ -209,7 +209,7 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
     # to raise.
     tops: list[dict] = [None] * size
     grown: list[list] = [None] * size
-    classes: dict[int, int] = {}  # |a| * (n + 1) + rho(a) - zero_axes -> mask
+    classes: dict[tuple[int, int], int] = {}
     for i in range(size - 1, -1, -1):
         if not i % 64:
             check_deadline(deadline)
@@ -227,7 +227,7 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
             else:
                 p |= axis
         m = 1 << i
-        key = sum(a) * (n + 1) + p.bit_count()
+        key = (sum(a), p.bit_count() + zero_axes)
         classes[key] = classes.get(key, 0) | m
         tops[i] = rows = {c: m}
         grown[i] = grow = [c, m, p, 0]
@@ -267,7 +267,7 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
         n, g, strides, volume, coords, elem_mask,
         bottom, flat[::4],
         bytes(map(int.bit_count, pattern)), zero_axes, flat[1::4], rows_with, reach,
-        {(key // (n + 1), key % (n + 1) + zero_axes): m for key, m in classes.items()})
+        classes)
 
 
 @dataclass(frozen=True)
@@ -280,21 +280,13 @@ class IntervalPartition:
         return [[list(a), list(b)] for a, b in self.intervals]
 
 
-def _bits(x: int) -> list[int]:
-    """Positions of the set bits of x, lowest first.  A dense x has each of
-    its binary digits looked at in C; a sparse one is searched for its ones."""
+def _bits(x: int):
+    """Positions of the set bits of x, lowest first."""
     s = bin(x)[:1:-1]
-    if x.bit_count() << 3 > len(s):
-        return [*compress(count(), s.encode().translate(_DIGIT))]
-    out = []
     i = s.find("1")
     while i >= 0:
-        out.append(i)
+        yield i
         i = s.find("1", i + 1)
-    return out
-
-
-_DIGIT = bytes.maketrans(b"01", b"\0\1")
 
 
 @cache
@@ -346,12 +338,12 @@ def _candidates(uncovered: int, live: int, rows_with, row_mask, deadline) -> lis
     for k, e in enumerate(_bits(uncovered)):
         if deadline is not None and not k % 64:
             check_deadline(deadline)
-        count = (rows_with[e] & live).bit_count()
-        if fewest is None or count < fewest:
-            best, fewest = e, count
-            if count <= 1:
+        n_live = (rows_with[e] & live).bit_count()
+        if fewest is None or n_live < fewest:
+            best, fewest = e, n_live
+            if n_live <= 1:
                 break
-    rows = _bits(rows_with[best] & live)
+    rows = [*_bits(rows_with[best] & live)]
     if len(rows) > 1:
         # the sort is stable under reverse, so equal sizes stay in row order
         rows.sort(key=lambda r: row_mask[r].bit_count(), reverse=True)

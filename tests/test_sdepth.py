@@ -573,6 +573,15 @@ class TestSdepth:
             sdepth(F, deadline=start + 0.1)
         assert time.monotonic() - start < 0.5
 
+    def test_deadline_during_the_decode_of_a_dense_box(self):
+        # 4,004,001 cells and 4,003,998 elements; decoding them all before
+        # the first deadline check takes a quarter of a second or more
+        F = fac("x, y", "x, y", "x^2000, y^2000")
+        start = time.monotonic()
+        with pytest.raises(TimeLimitError):
+            char_poset(F, deadline=start + 0.02)
+        assert time.monotonic() - start < 0.15
+
     def test_certificate_verifies(self):
         F = fac("x, y, z", "x*y, y*z", "x*y*z^2")
         d, cert = sdepth(F)
