@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 
 from .canonical import canonicalize, shift_transform
-from .ideals import Factor
+from .ideals import MAX_EXPONENT, Factor
 from .koszul import FieldChoice, Rationals, depth
 from .limits import DEFAULT_BOX_CAP, ResourceError
 from .sdepth import DEFAULT_NODE_BUDGET, sdepth, verify_decomposition
@@ -47,11 +47,14 @@ class CheckRecord:
 
 
 def build_forms(F: Factor, rng: random.Random) -> dict[str, Factor]:
-    """The original, its canonical form, and one random shift transform."""
+    """The original, its canonical form, and one random shift transform,
+    left out when it would raise an exponent past MAX_EXPONENT."""
     forms = {"input": F, "canonical": canonicalize(F)}
     v = rng.randrange(F.n)
-    k = rng.randint(1, F.join_exponents()[v] + 1)
-    forms[f"shift(v={v},k={k})"] = shift_transform(F, v, k)
+    top = F.join_exponents()[v]
+    k = rng.randint(1, top + 1)
+    if k > top or top < MAX_EXPONENT:
+        forms[f"shift(v={v},k={k})"] = shift_transform(F, v, k)
     return forms
 
 

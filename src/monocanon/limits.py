@@ -29,7 +29,11 @@ def box_volume(g, box_cap: int | None = None, what: str = "box") -> int:
     for e in g:
         volume *= e + 1
     if box_cap is not None and volume > box_cap:
-        raise BoxCapError(f"{what} has {volume} cells, over the cap of {box_cap}")
+        try:
+            cells = str(volume)
+        except ValueError:  # more digits than Python converts to a string
+            cells = f"at least 2^{volume.bit_length() - 1}"
+        raise BoxCapError(f"{what} has {cells} cells, over the cap of {box_cap}")
     return volume
 
 

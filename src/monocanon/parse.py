@@ -84,14 +84,14 @@ def _expect(text: str, toks: list, k: int, what: str) -> int:
 
 
 def _exponent(text: str, toks: list, k: int) -> int:
-    """Exponent token k when it is not a digit string of at most 10 digits:
-    longer ones are over the cap unless only leading zeros make them long."""
+    """The value of exponent token k, a digit string; one over 10 digits is
+    over the cap unless only leading zeros make it long."""
     tok = toks[k]
-    if not tok:
-        raise _error(text, k, "unexpected end of input")
-    if tok == "-":
-        raise _error(text, k, "negative exponent")
     if not tok.isdigit():
+        if not tok:
+            raise _error(text, k, "unexpected end of input")
+        if tok == "-":
+            raise _error(text, k, "negative exponent")
         raise _error(text, k, f"expected exponent, found {tok!r}")
     digits = tok.lstrip("0") or "0"
     if len(digits) > 10:  # over the cap, and int() may refuse it
@@ -141,8 +141,7 @@ def _parse_gens(text: str, toks: list, i: int, index_of: dict, n: int):
                 i += 1
             else:
                 if toks[i + 1] == "^":
-                    d = toks[i + 2]
-                    e = int(d) if len(d) <= 10 and d.isdigit() else _exponent(text, toks, i + 2)
+                    e = _exponent(text, toks, i + 2)
                     i += 3
                 else:
                     e = 1

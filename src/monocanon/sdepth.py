@@ -298,8 +298,7 @@ def _packed_power(e: int, w: int) -> int:
 def _truncated_check(poset: CharacteristicPoset, d: int):
     """A test refutes(U) of whether P_U(t), the sum over a in the element
     set U (a bitmask) with rho(a) <= d of t^|a| (1-t)^(d - rho(a)), has a
-    negative coefficient; None when no element has rho(a) < d, since then
-    every P_U is a sum of monomials.
+    negative coefficient.
 
     P_U is packed into one integer with degree k in the field of w bits
     starting at bit w*k: each (|a|, rho(a)) class with rho(a) <= d adds its
@@ -307,7 +306,7 @@ def _truncated_check(poset: CharacteristicPoset, d: int):
     in the class.  No coefficient is larger than len(coords) * 2^d in size,
     so after 2^(w-1) is added to every field none overflows, and P_U has a
     negative coefficient iff some field's top bit is clear.  A U with no
-    element of rho < d is passed without the sum.
+    element of rho < d, such as every U at d = 0, is passed without the sum.
     """
     w = (len(poset.coords) << d).bit_length() + 1
     low = top = 0  # the elements with rho < d; the highest degree of P_U
@@ -319,8 +318,6 @@ def _truncated_check(poset: CharacteristicPoset, d: int):
             if k + d - r > top:
                 top = k + d - r
             packed.append((m, _packed_power(d - r, w) << w * k))
-    if not low:
-        return None
     high = ((1 << w * (top + 1)) - 1) // ((1 << w) - 1) << w - 1
 
     def refutes(uncovered: int) -> bool:
@@ -364,12 +361,12 @@ def exists_partition(poset: CharacteristicPoset, d: int,
     passed deadline raises TimeLimitError, both distinct from the None
     answer.
 
-    For d >= 1 one Hilbert-series test (see _truncated_check) refutes a set
-    U of elements when P_U(t), the sum over a in U with rho(a) <= d of
-    t^|a| (1-t)^(d - rho(a)), has a negative coefficient.  It runs on the
-    whole element set at the root, and on the uncovered set of every node
-    from the level's first dead end on (the first frame that runs out of
-    candidates).  It is sound for every U.  Suppose some rows with rho >= d
+    At every level one Hilbert-series test (see _truncated_check) refutes
+    a set U of elements when P_U(t), the sum over a in U with rho(a) <= d
+    of t^|a| (1-t)^(d - rho(a)), has a negative coefficient.  It runs on
+    the whole element set at the root, and on the uncovered set of every
+    node from the level's first dead end on (the first frame that runs out
+    of candidates).  It is sound for every U.  Suppose some rows with rho >= d
     partition U.  Split each row along its raised axes until every piece has
     a top with rho exactly d or is a single element with rho > d (the
     splitting argument above char_poset).  The elements of a piece [a, b]
@@ -387,44 +384,40 @@ def exists_partition(poset: CharacteristicPoset, d: int,
         raise ValueError(f"interval-top bound d={d} outside 0..{n}")
     if d > poset.reach:
         return None
-    refutes = _truncated_check(poset, d) if d else None
+    refutes = _truncated_check(poset, d)
     uncovered = (1 << len(poset.coords)) - 1
-    if refutes is not None and refutes(uncovered):
+    if refutes(uncovered):
         return None
     rows_with, row_mask = poset.rows_with, poset.row_mask
     live = poset.live_rows(d)
-    # a frame is [uncovered, live, candidates, next candidate]
+    # a frame is [uncovered, live, candidates, next candidate]; the rows
+    # chosen so far are the frames' last tried candidates
     stack = [[uncovered, live,
               _candidates(uncovered, live, rows_with, row_mask, deadline), 0]]
-    chosen: list[int] = []
     nodes = 0
-    check = None  # refutes, from the level's first dead end on
+    gated = False  # refutes runs at every node from the level's first dead end on
     while stack:
         frame = stack[-1]
         uncovered, live, cands, i = frame
         if i >= len(cands):
             stack.pop()
-            if stack:
-                chosen.pop()
-                check = refutes
+            gated = True
             continue
         frame[3] = i + 1
         nodes += 1
         if nodes > node_budget:
-            raise SearchBudgetError(
-                f"partition search exceeded {node_budget} nodes at d={d}"
-            )
-        if deadline is not None and not nodes % 256:
+            raise SearchBudgetError(f"partition search exceeded {node_budget} nodes at d={d}")
+        if not nodes % 256:
             check_deadline(deadline)
         r = cands[i]
         remaining = uncovered & ~row_mask[r]
-        if check is not None and check(remaining):
+        if gated and refutes(remaining):
             continue
-        chosen.append(r)
         if remaining == 0:
             coords, bottom, top = poset.coords, poset.row_bottom, poset.row_top
             return IntervalPartition(tuple([
-                (coords[bottom[c]], _cell_coords(top[c], poset.strides)) for c in chosen
+                (coords[bottom[c]], _cell_coords(top[c], poset.strides))
+                for c in (f[2][f[3] - 1] for f in stack)
             ]))
         meets = 0  # the rows that share an element with row r
         for k, e in enumerate(_bits(row_mask[r])):

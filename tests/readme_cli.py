@@ -1,9 +1,10 @@
 """Run the installed `monocanon` command on the README's example problem and
-compare its `sdepth` and `depth` output with the README's transcript.
+compare its `canon`, `sdepth`, `depth` and `check` output with the README's
+transcript.
 
     pip install . && python tests/readme_cli.py
 
-Exits 0 when both match; otherwise prints the difference and exits 1.  It
+Exits 0 when all match; otherwise prints the difference and exits 1.  It
 runs the console script found on PATH, from a scratch directory, so the
 package is imported from where pip installed it, not from src/.
 """
@@ -18,7 +19,7 @@ import sys
 import tempfile
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-COMMANDS = ("sdepth", "depth")
+COMMANDS = ("canon", "sdepth", "depth", "check")
 
 
 def readme_example(text: str) -> tuple[str, dict[str, str]]:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 
 import helpers
+from readme_cli import COMMANDS, README, readme_example
 
 from monocanon import BenchReport
 from monocanon.cli import (
@@ -36,6 +37,11 @@ QUOTIENT = "ring x, y;\nI = x^4, y^10, x^2*y^7;\nJ = x^20, y^30;\n"
 MAXIMAL = "ring x, y;\nI = x, y;\n"
 RESIDUE = "ring x, y;\nI = 1;\nJ = x, y;\n"
 HUGE = "ring x, y;\nI = x^10000000*y^10000000;\n"
+# 470 variables at the exponent cap: a box of 2^14570 cells, a count of 4,387
+# digits, more than Python converts to a string
+WIDEST = "ring {};\nI = {};\n".format(
+    ", ".join(f"x{i}" for i in range(470)),
+    "*".join(f"x{i}^2147483647" for i in range(470)))
 
 
 class TestCanon:
@@ -163,6 +169,20 @@ class TestSdepth:
         assert capsys.readouterr() == ("", "resource limit: out of memory\n")
 
 
+class TestBoxCap:
+    @pytest.mark.parametrize("command, box", [
+        (["sdepth", "--no-canon"], "characteristic"),
+        (["depth", "--no-canon"], "Koszul"),
+        (["bench"], "characteristic"),
+    ])
+    def test_a_count_too_long_to_print_gives_a_power_of_two(self, command, box, write,
+                                                            capsys):
+        assert main([*command, write(WIDEST)]) == EXIT_RESOURCE
+        assert capsys.readouterr() == ("", (
+            f"resource limit: {box} box has at least 2^14570 cells, "
+            "over the cap of 100000000\n"))
+
+
 class TestCheck:
     def test_file_pass(self, write, capsys):
         assert main(["check", write(QUOTIENT)]) == EXIT_OK
@@ -206,6 +226,25 @@ class TestCheck:
         assert capsys.readouterr().out == (
             f"FAIL {path}: sdepth certificate of form 'input' failed verification\n"
         )
+
+    def test_leaves_out_a_shift_past_the_exponent_cap(self, write, capsys):
+        # shifting x^(2^31 - 1) up by one would leave the exponent cap; the
+        # other forms are checked, and the input's Koszul box is over the cap
+        path = write("ring x;\nI = x^2147483647;\n")
+        assert main(["check", path]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            f"SKIPPED {path}: Koszul box has 2147483648 cells, "
+            "over the cap of 100000000\n")
+
+
+class TestReadmeTranscript:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_output_matches_the_readme(self, command, tmp_path, monkeypatch, capsys):
+        problem, outputs = readme_example(README.read_text(encoding="utf-8"))
+        (tmp_path / "problem.ideal").write_text(problem, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "problem.ideal"]) == EXIT_OK
+        assert capsys.readouterr().out == outputs[f"{command} problem.ideal"]
 
 
 class TestBench:

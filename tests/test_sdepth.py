@@ -338,13 +338,12 @@ def squarefree_veronese_poset(n, k):
 
 def root_refutes(P, d) -> bool:
     """Does the truncated Hilbert check refute level d on the whole element set?"""
-    refutes = _truncated_check(P, d)
-    return refutes is not None and refutes((1 << len(P.coords)) - 1)
+    return _truncated_check(P, d)((1 << len(P.coords)) - 1)
 
 
 def hilbert_bound(P) -> int:
     """The largest level the Hilbert check leaves standing."""
-    return max(d for d in range(P.n + 1) if not d or not root_refutes(P, d))
+    return max(d for d in range(P.n + 1) if not root_refutes(P, d))
 
 
 # Raw presentation of the benchmark's wide[1] factor (seed 1): 7,518 elements
@@ -383,17 +382,21 @@ class TestHilbertRefutation:
             return
         assert oracle.oracle_sdepth(F) < min(refuted)
         module = sys.modules["monocanon.sdepth"]
-        with mock.patch.object(module, "_truncated_check", return_value=None):
+        with mock.patch.object(module, "_truncated_check",
+                               lambda P, d: lambda uncovered: False):
             for d in refuted:
                 assert exists_partition(P, d) is None
 
-    def test_level_zero_is_never_checked(self):
-        # at d=0 every term is a monomial t^|a|, so level 0 builds no check
-        module = sys.modules["monocanon.sdepth"]
+    def test_level_zero_refutes_nothing(self):
+        # at d=0 every term is a monomial t^|a|, so no set is refuted, and
+        # the search returns the partition it returned when level 0 built
+        # no test
         P = char_poset(fac("x, y", "x^2, x*y", "x^3"))
-        with mock.patch.object(module, "_truncated_check",
-                               side_effect=AssertionError("checked d=0")):
-            assert exists_partition(P, 0) is not None
+        refutes = _truncated_check(P, 0)
+        assert not refutes((1 << len(P.coords)) - 1)
+        assert not refutes(0)
+        assert exists_partition(P, 0) == IntervalPartition((
+            ((1, 1), (1, 1)), ((2, 0), (2, 1))))
 
     @pytest.mark.parametrize("n, k, d", [
         (8, 1, 5), (9, 1, 6), (8, 3, 5), (8, 2, 5), (7, 2, 4),
@@ -542,6 +545,25 @@ class TestNodeCheck:
         part = exists_partition(squarefree_veronese_poset(n, k), d, node_budget=2000)
         assert part is not None
         assert verify_decomposition(F, part, d)
+
+
+class TestNodeCounts:
+    """The nodes each of these levels takes to solve, pinned exactly.
+
+    Candidate order and pruning decide how many nodes a search makes.  A
+    change of search order or pruning moves these counts: it updates the
+    pins here and lists the update, and why the counts moved, in CHANGES.md.
+    """
+
+    @pytest.mark.parametrize("n, k, j, d, nodes", [
+        (6, 2, 5, 3, 65), (5, 2, None, 3, 43), (6, 1, None, 3, 22),
+        (7, 3, None, 4, 875), (8, 2, None, 4, 789), (9, 1, None, 5, 776),
+    ])
+    def test_solves_in_the_pinned_number_of_nodes(self, n, k, j, d, nodes):
+        P = char_poset(veronese_factor(n, k, j)) if j else squarefree_veronese_poset(n, k)
+        assert exists_partition(P, d, node_budget=nodes) is not None
+        with pytest.raises(SearchBudgetError):
+            exists_partition(P, d, node_budget=nodes - 1)
 
 
 class TestSdepth:
