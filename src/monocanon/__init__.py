@@ -4,7 +4,7 @@ canonical form that compresses exponents before the expensive searches."""
 from .bench import BenchReport, MetricBench, SideTiming, run_bench
 from .canonical import (GapError, applicable_gaps, canonicalize,
                         canonicalize_ideal, canonicalize_var,
-                        collapse_gap_step, is_canonical,
+                        collapse_gap_step, is_canonical, lift,
                         shift_transform, type_wrt)
 from .ideals import (MAX_EXPONENT, DimensionError, Factor, FactorError,
                      Monomial, MonomialIdeal, deglex_key, divides,
@@ -34,7 +34,7 @@ __all__ = [
     "default_names",
     "GapError", "type_wrt", "canonicalize",
     "canonicalize_var", "canonicalize_ideal", "is_canonical",
-    "collapse_gap_step", "applicable_gaps", "shift_transform",
+    "collapse_gap_step", "applicable_gaps", "shift_transform", "lift",
     "CharacteristicPoset", "IntervalPartition", "char_poset", "rho",
     "exists_partition", "sdepth", "verify_decomposition",
     "decomposition_lines",

@@ -14,7 +14,10 @@ transform and raises if either fails, since it would mean the map was wrong.
 
 from __future__ import annotations
 
-from .ideals import Factor, FactorError, MonomialIdeal
+from operator import getitem
+
+from .ideals import Factor, FactorError, MonomialIdeal, minimalize
+from .sdepth import IntervalPartition
 
 
 class GapError(ValueError):
@@ -78,6 +81,43 @@ def canonicalize_var(F: Factor, v: int) -> Factor:
 def canonicalize(F: Factor) -> Factor:
     """Canonical form: compress every variable.  Idempotent and order-independent."""
     return _substitute(F, _compression_maps(F))
+
+
+def canonical_gens(F: Factor):
+    """(C.I.gens, C.J.gens) for C = canonicalize(F), without building C."""
+    maps = _compression_maps(F).values()
+
+    def image(gens):
+        return minimalize(zip(*[map(mp.get, col, col)
+                                for mp, col in zip(maps, zip(*gens))]))
+
+    return image(F.I.gens), image(F.J.gens)
+
+
+def lift(F: Factor, partition: IntervalPartition) -> IntervalPartition:
+    """The boxes of F's poset over the intervals of a partition of
+    canonicalize(F)'s poset.
+
+    With type k_1 < ... < k_s of x_j and k_0 = 0, canonical exponent i
+    stands for the exponents k_i, ..., k_{i+1} - 1 of F, and i = s for k_s,
+    ..., g_j.  x^a lies in I or J iff its canonical image does, so [a', b']
+    lifts to the box [lo, hi] with lo_j = k_{a'_j} and hi_j = k_{b'_j+1} - 1,
+    or g_j when b'_j = s.  The boxes are intervals that partition F's poset,
+    and hi_j = g_j iff b'_j = s, so each top keeps its rho: a partition at
+    level d lifts to one at level d, which proves sdepth(F) >= d
+    (Herzog-Vladoiu-Zheng).  verify_decomposition checks the result on F; a
+    coordinate past s raises ValueError.
+    """
+    lows, highs = [], []
+    for top, mp in zip(F.join_exponents(), _compression_maps(F).values()):
+        lows.append((0, *mp))
+        highs.append((*[k - 1 for k in mp], top))
+    try:
+        return IntervalPartition(tuple(
+            (tuple(map(getitem, lows, a)), tuple(map(getitem, highs, b)))
+            for a, b in partition.intervals))
+    except IndexError:
+        raise ValueError("the partition leaves the canonical box of F") from None
 
 
 def canonicalize_ideal(I: MonomialIdeal) -> MonomialIdeal:

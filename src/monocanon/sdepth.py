@@ -34,14 +34,18 @@ search, where it subsumes the bound that a Stanley decomposition of depth
 from a level's first dead end on.  No U that the rows partition is refuted
 (see exists_partition).  The search is complete and the rows lose no
 partition, so sdepth below is exact.
-verify_decomposition checks a certificate against the element mask alone.
+root_refutation runs the reach and root Hilbert tests of one level from the
+element mask alone, with no rows built.
+verify_decomposition checks a certificate against the element mask alone;
+its intervals may have any tops, so boxes lifted from the canonical form
+(canonical.lift) are checked the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, combinations, islice
 from math import comb
 from operator import eq, le, mul
 
@@ -173,6 +177,17 @@ _BIT = [(b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8)]
 _AT_LEAST = [b"0" * t + b"1" * (256 - t) for t in range(256)]
 
 
+def _decode(elem_mask: int, g, strides, deadline):
+    """(cells, coords) of the elements of elem_mask, in lex order."""
+    bits = _bits(elem_mask)
+    cells, coords = [], []
+    while part := [*islice(bits, 4096)]:  # 4,096 elements between deadline checks
+        check_deadline(deadline)
+        cells += part
+        coords += zip(*[[c // s % (y + 1) for c in part] for s, y in zip(strides, g)])
+    return cells, tuple(coords)
+
+
 # Restricting tops to b_j in {a_j, g_j} loses no partition.  Take any
 # interval [a, b] of a partition and a coordinate j with a_j <= b_j < g_j.
 # Split [a, b] into the slices with x_j = t for t = a_j, ..., b_j.  Each
@@ -187,14 +202,7 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
     once deadline passes."""
     g, strides, volume, elem_mask = _element_set(F, box_cap, deadline)
     n = len(g)
-    bits = _bits(elem_mask)
-    cells, coords = [], []
-    while part := [*islice(bits, 4096)]:  # 4,096 elements between deadline checks
-        check_deadline(deadline)
-        cells += part
-        coords += zip(*[[c // s % (y + 1) for c in part] for s, y in zip(strides, g)])
-    coords = tuple(coords)
-
+    cells, coords = _decode(elem_mask, g, strides, deadline)
     size = len(cells)
     index = dict(zip(cells, range(size)))
     below = [[-1] * size for _ in g]  # below[j][e]: e - e_j
@@ -295,23 +303,33 @@ def _packed_power(e: int, w: int) -> int:
     return sum((-1) ** j * comb(e, j) << w * j for j in range(e + 1))
 
 
-def _truncated_check(poset: CharacteristicPoset, d: int):
+def _refutes_nothing(uncovered: int) -> bool:
+    """The test at a level where no element has rho < d."""
+    return False
+
+
+def _truncated_check(classes: dict[tuple[int, int], int], size: int, d: int):
     """A test refutes(U) of whether P_U(t), the sum over a in the element
     set U (a bitmask) with rho(a) <= d of t^|a| (1-t)^(d - rho(a)), has a
-    negative coefficient.
+    negative coefficient.  classes maps (|a|, rho(a)) to the bitmask of the
+    elements in that class, and size is the number of elements.
 
     P_U is packed into one integer with degree k in the field of w bits
-    starting at bit w*k: each (|a|, rho(a)) class with rho(a) <= d adds its
-    packed (1-t)^(d - rho(a)), shifted to field |a|, once per element of U
-    in the class.  No coefficient is larger than len(coords) * 2^d in size,
-    so after 2^(w-1) is added to every field none overflows, and P_U has a
-    negative coefficient iff some field's top bit is clear.  A U with no
-    element of rho < d, such as every U at d = 0, is passed without the sum.
+    starting at bit w*k: each class with rho(a) <= d adds its packed
+    (1-t)^(d - rho(a)), shifted to field |a|, once per element of U in the
+    class.  No coefficient is larger than size * 2^d in size, so after
+    2^(w-1) is added to every field none overflows, and P_U has a negative
+    coefficient iff some field's top bit is clear.  A U with no element of
+    rho < d is passed without the sum, and at a level where no element has
+    rho < d, such as d = 0, the test is _refutes_nothing and nothing is
+    packed.
     """
-    w = (len(poset.coords) << d).bit_length() + 1
+    if all(r >= d for _, r in classes):
+        return _refutes_nothing
+    w = (size << d).bit_length() + 1
     low = top = 0  # the elements with rho < d; the highest degree of P_U
     packed = []
-    for (k, r), m in poset.degree_classes.items():
+    for (k, r), m in classes.items():
         if r <= d:
             if r < d:
                 low |= m
@@ -384,7 +402,7 @@ def exists_partition(poset: CharacteristicPoset, d: int,
         raise ValueError(f"interval-top bound d={d} outside 0..{n}")
     if d > poset.reach:
         return None
-    refutes = _truncated_check(poset, d)
+    refutes = _truncated_check(poset.degree_classes, len(poset.coords), d)
     uncovered = (1 << len(poset.coords)) - 1
     if refutes(uncovered):
         return None
@@ -427,6 +445,45 @@ def exists_partition(poset: CharacteristicPoset, d: int,
         live &= ~meets
         stack.append([remaining, live,
                       _candidates(remaining, live, rows_with, row_mask, deadline), 0])
+    return None
+
+
+def root_refutation(F: Factor, d: int, box_cap: int = DEFAULT_BOX_CAP,
+                    deadline: float | None = None) -> str | None:
+    """Why level d has no partition of F, from its element set alone with no
+    rows built: "reach" when d > char_poset(F).reach, "hilbert" when the
+    root Hilbert test of exists_partition refutes d, None when neither does.
+
+    An element a is the bottom of a row with rho >= d iff raise(a, T), a with
+    the axes in T set to g, lies outside J for some d-set T of axes: such a
+    top has rho >= d, and any row's top with rho >= d lies above raise(a, T)
+    for a d-set T of its axes on the bound.  raise(a, T) is in J iff a is in
+    the block [m with the axes in T set to 0, g] of some m in G(J), so the
+    elements that start no such row are the element mask ANDed, over every
+    d-set T, with the OR of those blocks.
+    """
+    g, strides, _, elem_mask = _element_set(F, box_cap, deadline)
+    if not 0 <= d <= len(g):
+        raise ValueError(f"interval-top bound d={d} outside 0..{len(g)}")
+    stuck = elem_mask
+    for axes in combinations(range(len(g)), d):
+        check_deadline(deadline)
+        blocks = 0
+        for m in F.J.gens:
+            blocks |= _block_mask([0 if j in axes else x for j, x in enumerate(m)],
+                                  g, strides)
+        stuck &= blocks
+        if not stuck:
+            break
+    if stuck:
+        return "reach"
+    _, coords = _decode(elem_mask, g, strides, deadline)
+    classes: dict[tuple[int, int], int] = {}  # as in char_poset
+    for i, a in enumerate(coords):
+        key = (sum(a), sum(map(eq, a, g)))
+        classes[key] = classes.get(key, 0) | 1 << i
+    if _truncated_check(classes, len(coords), d)((1 << len(coords)) - 1):
+        return "hilbert"
     return None
 
 

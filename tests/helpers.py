@@ -5,7 +5,8 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from monocanon import (Factor, FactorError, MonomialIdeal, default_names,
-                       format_problem, parse_ideal, parse_problem)
+                       format_problem, parse_ideal, parse_problem,
+                       shift_transform)
 
 
 def names_of(ring: str) -> tuple[str, ...]:
@@ -58,6 +59,17 @@ def factors(draw, nmax: int = 3, emax: int = 5):
         return Factor(I, MonomialIdeal(n, jg))
     except FactorError:
         return Factor(I)
+
+
+@st.composite
+def factors_and_shifts(draw):
+    """A factor from factors(), mostly not canonical, or one random shift
+    transform of it."""
+    F = draw(factors())
+    if draw(st.booleans()):
+        v = draw(st.integers(0, F.n - 1))
+        F = shift_transform(F, v, draw(st.integers(1, F.join_exponents()[v] + 1)))
+    return F
 
 
 @st.composite

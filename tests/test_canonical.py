@@ -1,13 +1,18 @@
-"""Types, canonical forms, gap collapsing, and the shift transform."""
+"""Types, canonical forms, gap collapsing, the shift transform, and lifting
+certificates from the canonical form."""
+
+import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
 import helpers
+import oracle
 from helpers import fac, ideal
 from monocanon import (
     Factor,
     GapError,
+    IntervalPartition,
     MonomialIdeal,
     applicable_gaps,
     canonicalize,
@@ -18,11 +23,14 @@ from monocanon import (
     format_factor,
     format_ideal,
     is_canonical,
+    lift,
     minimalize,
+    sdepth,
     shift_transform,
     type_wrt,
+    verify_decomposition,
 )
-from monocanon.canonical import _substitute
+from monocanon.canonical import _substitute, canonical_gens
 
 
 class TestTypeWrt:
@@ -271,3 +279,63 @@ class TestSubstitutionChecks:
     def test_identity_maps_return_the_input(self):
         F = fac("x, y", "x^4, x^3*y^7")
         assert _substitute(F, {0: {3: 3, 4: 4}, 1: {}}) is F
+
+
+def lifted_certificate(F):
+    """sdepth of F's canonical form, and its certificate lifted to F."""
+    s, cert = sdepth(canonicalize(F))
+    return s, lift(F, cert)
+
+
+class TestLift:
+    @given(helpers.factors_and_shifts())
+    def test_lifted_certificate_verifies(self, F):
+        s, lifted = lifted_certificate(F)
+        assert verify_decomposition(F, lifted, s)
+
+    @given(helpers.factors_and_shifts())
+    def test_boxes_partition_the_oracle_members(self, F):
+        # cells listed box by box, with no production code: none repeats,
+        # and together they are the members
+        s, lifted = lifted_certificate(F)
+        g, pts = oracle.members(F)
+        cells = [c for lo, hi in lifted.intervals
+                 for c in itertools.product(*map(range, lo, [y + 1 for y in hi]))]
+        assert sorted(cells) == sorted(pts)
+        for lo, hi in lifted.intervals:
+            assert sum(1 for y, e in zip(hi, g) if y == e) >= s
+
+    @given(helpers.factors_and_shifts(), st.data())
+    def test_a_top_moved_off_by_one_fails(self, F, data):
+        s, lifted = lifted_certificate(F)
+        boxes = [list(map(list, box)) for box in lifted.intervals]
+        box = data.draw(st.sampled_from(boxes))
+        j = data.draw(st.integers(0, F.n - 1))
+        box[1][j] += data.draw(st.sampled_from((-1, 1)))
+        moved = IntervalPartition(tuple((tuple(lo), tuple(hi)) for lo, hi in boxes))
+        assert not verify_decomposition(F, moved, s)
+
+    def test_readme_example(self):
+        # types x: (1, 100), y: (50,), z: (1, 50); the canonical certificate
+        # is the README's decomposition, and canonical y = 0 stands for the
+        # raw exponents 0..49
+        F = fac("x, y, z", "x*y^50*z^50, x^100*z^50, x^100*y^50*z")
+        s, lifted = lifted_certificate(F)
+        assert s == 2
+        assert sorted(lifted.intervals) == [
+            ((1, 50, 50), (100, 50, 50)),
+            ((100, 0, 50), (100, 49, 50)),
+            ((100, 50, 1), (100, 50, 49)),
+        ]
+
+    def test_a_coordinate_past_the_type_raises(self):
+        F = fac("x, y", "x^4, x^3*y^7")  # types (3, 4) and (7,)
+        with pytest.raises(ValueError, match="canonical box"):
+            lift(F, IntervalPartition((((0, 2), (2, 2)),)))
+
+
+class TestCanonicalGens:
+    @given(helpers.factors())
+    def test_matches_canonicalize(self, F):
+        C = canonicalize(F)
+        assert canonical_gens(F) == (C.I.gens, C.J.gens)

@@ -47,18 +47,69 @@ class TestDuplicateForms:
         assert forms["canonical"].I.gens != F.I.gens
         counts = count_calls(monkeypatch, "depth", "sdepth", "verify_decomposition")
         rec = check_forms("dup", forms)
-        assert counts == {"depth": 2, "sdepth": 2, "verify_decomposition": 2}
+        # one search, on the canonical form; the input verifies its lift
+        assert counts == {"depth": 2, "sdepth": 1, "verify_decomposition": 2}
         assert rec.status == PASS
         assert list(rec.depth_values) == list(rec.sdepth_values) == list(forms)
         assert rec.depth_values["shift(v=0,k=5)"] == rec.depth_values["input"]
         assert rec.line() == "PASS dup: depth=1 sdepth=1 on 3 forms"
 
     def test_check_output_is_unchanged(self, monkeypatch, capsys):
-        # five of the thirty forms repeat an earlier form of their factor;
+        # five of the thirty forms repeat an earlier form of their factor,
+        # and each factor's forms share one canonical form, searched once;
         # the lines were printed before repeated forms were skipped
         counts = count_calls(monkeypatch, "depth", "sdepth")
         assert main(["check", "--random", "2", "3", "10", "5"]) == 0
-        assert counts == {"depth": 25, "sdepth": 25}
+        assert counts == {"depth": 25, "sdepth": 10}
+        values = [1, 1, 2, 1, 0, 0, 0, 1, 1, 1]
+        assert capsys.readouterr().out == "".join(
+            f"PASS random[{i}]: depth={v} sdepth={v} on 3 forms\n"
+            for i, v in enumerate(values))
+
+
+class TestLiftedCertificates:
+    """check_forms settles a form that is not canonical from its canonical
+    form's search: the lifted certificate must verify on the form, and the
+    next level must be refuted on it, by its element set or by a search of
+    its own poset."""
+
+    def test_a_lift_that_does_not_verify_fails(self, monkeypatch):
+        # the canonical form of F is (x^2, x*y); (x^2, y) fits the same box
+        # [0, (2, 1)] but has other elements, so its lifted certificate
+        # misses some of F's
+        F = fac("x, y", "x^4, x^3*y^7")
+        monkeypatch.setattr("monocanon.invariance.canonicalize",
+                            lambda G: fac("x, y", "x^2, y"))
+        rec = check_forms("wrong", {"input": F})
+        assert rec.status == FAIL
+        assert rec.line() == (
+            "FAIL wrong: sdepth certificate of form 'input' failed verification")
+
+    def test_a_level_only_the_fallback_search_finds_fails(self, monkeypatch):
+        # (x)/(x^2) has the one element x, like the canonical form (x) of
+        # (x^3), but in the box [0, 2] its rho is 0, so its certificate sits
+        # at level 0.  It lifts to [x^3, x^3], which verifies on (x^3) at
+        # level 0, and neither the reach nor the Hilbert test refutes level
+        # 1, which is feasible: only the search of (x^3)'s own poset finds it
+        F, W = fac("x", "x^3"), fac("x", "x", "x^2")
+        monkeypatch.setattr("monocanon.invariance.canonicalize", lambda G: W)
+        counts = count_calls(monkeypatch, "root_refutation", "exists_partition", "sdepth")
+        rec = check_forms("wrong", {"input": F, "canonical": W})
+        assert rec.status == FAIL
+        assert rec.sdepth_values == {"input": 1, "canonical": 0}
+        # W is not a presentation of F, so depth differs as well
+        assert rec.depth_values == {"input": 1, "canonical": 0}
+        # W for the input, F itself after the fallback, W as a form of its own
+        assert counts == {"root_refutation": 1, "exists_partition": 1, "sdepth": 3}
+
+    def test_the_fallback_search_alone_gives_the_same_output(self, monkeypatch, capsys):
+        # with the element-set refutation switched off, every form that is
+        # not canonical is settled by a search of its own poset at s + 1
+        counts = count_calls(monkeypatch, "exists_partition")
+        monkeypatch.setattr("monocanon.invariance.root_refutation",
+                            lambda *args, **kwargs: None)
+        assert main(["check", "--random", "2", "3", "10", "5"]) == 0
+        assert counts["exists_partition"] > 0
         values = [1, 1, 2, 1, 0, 0, 0, 1, 1, 1]
         assert capsys.readouterr().out == "".join(
             f"PASS random[{i}]: depth={v} sdepth={v} on 3 forms\n"

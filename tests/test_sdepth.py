@@ -34,7 +34,7 @@ from monocanon import (
     sdepth,
     verify_decomposition,
 )
-from monocanon.sdepth import _block_mask, _truncated_check
+from monocanon.sdepth import _block_mask, _truncated_check, root_refutation
 
 
 def oracle_verify(F, intervals, d) -> bool:
@@ -336,9 +336,14 @@ def squarefree_veronese_poset(n, k):
     return char_poset(veronese_factor(n, k))
 
 
+def level_check(P, d):
+    """The truncated Hilbert check of poset P at level d."""
+    return _truncated_check(P.degree_classes, len(P.coords), d)
+
+
 def root_refutes(P, d) -> bool:
     """Does the truncated Hilbert check refute level d on the whole element set?"""
-    return _truncated_check(P, d)((1 << len(P.coords)) - 1)
+    return level_check(P, d)((1 << len(P.coords)) - 1)
 
 
 def hilbert_bound(P) -> int:
@@ -383,7 +388,7 @@ class TestHilbertRefutation:
         assert oracle.oracle_sdepth(F) < min(refuted)
         module = sys.modules["monocanon.sdepth"]
         with mock.patch.object(module, "_truncated_check",
-                               lambda P, d: lambda uncovered: False):
+                               lambda classes, size, d: lambda uncovered: False):
             for d in refuted:
                 assert exists_partition(P, d) is None
 
@@ -392,7 +397,7 @@ class TestHilbertRefutation:
         # the search returns the partition it returned when level 0 built
         # no test
         P = char_poset(fac("x, y", "x^2, x*y", "x^3"))
-        refutes = _truncated_check(P, 0)
+        refutes = level_check(P, 0)
         assert not refutes((1 << len(P.coords)) - 1)
         assert not refutes(0)
         assert exists_partition(P, 0) == IntervalPartition((
@@ -443,6 +448,34 @@ class TestHilbertRefutation:
         assert hilbert_bound(squarefree_veronese_poset(n, k)) == (n - k) // (k + 1) + k
 
 
+class TestRootRefutation:
+    @given(helpers.factors_and_shifts())
+    @example(fac("x, y", "x^2, y^2"))  # Hilbert at d=2
+    @example(fac("x, y, z", "1", "x*z, y*z, z^2"))  # reach at d=1
+    @example(fac("x, y, z", "y^3*z, y^2*z^3, x^2*y^2*z^2", "y^3*z^2"))  # both
+    def test_matches_the_reach_and_the_root_check(self, F):
+        P = char_poset(F)
+        for d in range(F.n + 1):
+            expected = ("reach" if d > P.reach
+                        else "hilbert" if root_refutes(P, d) else None)
+            assert root_refutation(F, d) == expected
+
+    def test_refutes_no_feasible_level(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            F = random_factor(rng, rng.randint(1, 3), 5)
+            s = oracle.oracle_sdepth(F)
+            assert all(root_refutation(F, d) is None for d in range(s + 1))
+
+    def test_rejects_ill_formed_level(self):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            root_refutation(fac("x, y", "x, y"), 3)
+
+    def test_deadline(self):
+        with pytest.raises(TimeLimitError):
+            root_refutation(fac("x, y", "x, y"), 1, deadline=time.monotonic() - 1)
+
+
 def truncated_negative(points, g, d) -> bool:
     """Has sum over a in points with rho(a) <= d of t^|a| (1-t)^(d - rho(a))
     a negative coefficient?  Summed term by term from binomials."""
@@ -488,7 +521,7 @@ class TestNodeCheck:
         found = [exists_partition(P, d) for d in range(P.n + 1)]
         module = sys.modules["monocanon.sdepth"]
         with mock.patch.object(module, "_truncated_check",
-                               lambda P, d: lambda uncovered: False):
+                               lambda classes, size, d: lambda uncovered: False):
             assert [exists_partition(P, d) for d in range(P.n + 1)] == found
 
     @pytest.mark.parametrize("n, k, j, d", [
@@ -500,7 +533,7 @@ class TestNodeCheck:
         # first refuted set
         F = veronese_factor(n, k, j)
         P = char_poset(F)
-        refutes = _truncated_check(P, d)
+        refutes = level_check(P, d)
         full = (1 << len(P.coords)) - 1
         live = set_bits(P.live_rows(d))
         rng = random.Random(n * 100 + k)
