@@ -1,14 +1,18 @@
 """Cross-checking that depth and Stanley depth survive the transforms.
 
 Canonicalization and shifting are supposed to leave both invariants alone;
-this module computes depth on the original, canonical, and shifted forms,
-once per distinct pair of generator tuples, and sdepth with one partition
-search per distinct canonical form, and compares.  Every other form gets
-its sdepth from two checks on that form itself: the canonical certificate,
-lifted to it, must verify, and the next level must be refuted on its own
-element set, or by a search of its own poset when that does not settle it.
-Resource limits turn a comparison into SKIPPED (never PASS), and a
-certificate that fails verification is itself a failure.
+this module takes depth and sdepth on the original, canonical, and shifted
+forms, once per distinct pair of generator tuples, and compares.  Depth
+comes from one Koszul scan per distinct rank coding: the scan reads a form
+only through its own rank coding, which all forms of one factor share, so
+one scan usually serves them all, while each form's box cap is still
+checked.  Sdepth comes from one partition search per distinct canonical
+form.  Every other form gets its sdepth from two checks on that form
+itself: the canonical certificate, lifted to it, must verify, and the next
+level must be refuted on its own element set, or by a search of its own
+poset when that does not settle it.  Resource limits turn a comparison into
+SKIPPED (never PASS), and a certificate that fails verification is itself a
+failure.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from .canonical import canonical_gens, canonicalize, lift, shift_transform
 from .ideals import MAX_EXPONENT, Factor
 from .koszul import FieldChoice, Rationals, depth
 from .limits import DEFAULT_BOX_CAP, ResourceError
-from .sdepth import (DEFAULT_NODE_BUDGET, char_poset, exists_partition,
-                     root_refutation, sdepth, verify_decomposition)
+from .sdepth import (DEFAULT_NODE_BUDGET, _element_set, char_poset,
+                     exists_partition, root_refutation, sdepth,
+                     verify_decomposition)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -68,46 +73,55 @@ def check_forms(label: str, forms: dict[str, Factor],
                 node_budget: int = DEFAULT_NODE_BUDGET,
                 box_cap: int = DEFAULT_BOX_CAP,
                 deadline: float | None = None) -> CheckRecord:
-    """Compute depth on every form and sdepth with one search per distinct
-    canonical form, and compare.  A form whose generators equal an earlier
-    form's copies that form's values.
+    """Compute depth and sdepth on every form, and compare.  A form whose
+    generators equal an earlier form's copies that form's values.
+
+    Depth passes one memo of scans to koszul.depth, so a scan runs once per
+    distinct rank coding: a form whose own coding was already scanned takes
+    that depth after its own box cap and deadline checks.  The memo is
+    keyed by each form's own coding, never by its canonical form, so a
+    canonical form that is wrong still shows up as a depth that differs.
 
     The search runs on the canonical form C of a form G, taken from forms
     when one has C's generators, and otherwise built by canonicalize.  Its
     certificate at level s, lifted to G (canonical.lift), must verify on G,
     so sdepth(G) >= s.  Unless G is C, level s + 1 must then be refuted on G
-    itself: s = n, or root_refutation on G's element set, or failing both,
-    exists_partition on G's own poset under the same limits.  If that search
+    itself: s = n, or root_refutation on G's element set (built once for it
+    and the verification), or failing both, exists_partition on G's own
+    poset under the same limits.  If that search
     finds a partition, sdepth(G) is computed in full and differs from s.
     """
     dvals: dict[str, int] = {}
     svals: dict[str, int] = {}
-    seen: dict[tuple, str] = {}  # generators of I and J -> first form with them
+    first: dict[tuple, str] = {}  # generators of I and J -> first form with them
+    for name, G in forms.items():
+        first.setdefault((G.I.gens, G.J.gens), name)
+    scans: dict = {}  # rank coding -> depth, filled by koszul.depth
     searched: dict[tuple, tuple] = {}  # canonical generators -> sdepth, certificate
     limits = {"box_cap": box_cap, "deadline": deadline}
     try:
         for name, G in forms.items():
             key = (G.I.gens, G.J.gens)
-            first = seen.setdefault(key, name)
-            if first != name:
-                dvals[name], svals[name] = dvals[first], svals[first]
+            if first[key] != name:
+                dvals[name], svals[name] = dvals[first[key]], svals[first[key]]
                 continue
-            dvals[name] = depth(G, field, **limits)
+            dvals[name] = depth(G, field, scans=scans, **limits)
             ckey = canonical_gens(G)
             if ckey not in searched:
-                C = next((H for H in forms.values() if (H.I.gens, H.J.gens) == ckey),
-                         None) or canonicalize(G)
+                C = forms[first[ckey]] if ckey in first else canonicalize(G)
                 searched[ckey] = sdepth(C, node_budget=node_budget, **limits)
             value, cert = searched[ckey]
+            elements = None  # G's element set, when G is not canonical
             if ckey != key:
                 cert = lift(G, cert)
-            if not verify_decomposition(G, cert, value, **limits):
+                elements = _element_set(G, box_cap, deadline)
+            if not verify_decomposition(G, cert, value, elements=elements, **limits):
                 return CheckRecord(
                     label, FAIL, dvals, svals,
                     reason=f"sdepth certificate of form {name!r} failed verification",
                 )
-            if (ckey != key and value < G.n
-                    and root_refutation(G, value + 1, **limits) is None
+            if (elements is not None and value < G.n
+                    and root_refutation(G, value + 1, elements=elements, **limits) is None
                     and exists_partition(char_poset(G, **limits), value + 1,
                                          node_budget, deadline) is not None):
                 value = sdepth(G, node_budget=node_budget, **limits)[0]

@@ -449,7 +449,8 @@ def exists_partition(poset: CharacteristicPoset, d: int,
 
 
 def root_refutation(F: Factor, d: int, box_cap: int = DEFAULT_BOX_CAP,
-                    deadline: float | None = None) -> str | None:
+                    deadline: float | None = None, *,
+                    elements: tuple | None = None) -> str | None:
     """Why level d has no partition of F, from its element set alone with no
     rows built: "reach" when d > char_poset(F).reach, "hilbert" when the
     root Hilbert test of exists_partition refutes d, None when neither does.
@@ -460,9 +461,11 @@ def root_refutation(F: Factor, d: int, box_cap: int = DEFAULT_BOX_CAP,
     for a d-set T of its axes on the bound.  raise(a, T) is in J iff a is in
     the block [m with the axes in T set to 0, g] of some m in G(J), so the
     elements that start no such row are the element mask ANDed, over every
-    d-set T, with the OR of those blocks.
+    d-set T, with the OR of those blocks.  elements, if given, is
+    _element_set(F, box_cap, deadline), built once by a caller that also
+    verifies a certificate on F.
     """
-    g, strides, _, elem_mask = _element_set(F, box_cap, deadline)
+    g, strides, _, elem_mask = elements or _element_set(F, box_cap, deadline)
     if not 0 <= d <= len(g):
         raise ValueError(f"interval-top bound d={d} outside 0..{len(g)}")
     stuck = elem_mask
@@ -506,13 +509,15 @@ def sdepth(F: Factor, *, box_cap: int = DEFAULT_BOX_CAP,
 
 def verify_decomposition(F: Factor, partition: IntervalPartition, d: int,
                          box_cap: int = DEFAULT_BOX_CAP,
-                         deadline: float | None = None) -> bool:
+                         deadline: float | None = None, *,
+                         elements: tuple | None = None) -> bool:
     """Certificate check against F's element mask: disjoint intervals whose
     union is the element set, every top with rho >= d.  A block holding a
     cell outside the element set leaves the union unequal to it.  No
     coordinates are decoded and no rows are built.  A passed deadline,
-    checked every 256 intervals, raises TimeLimitError."""
-    g, strides, _, elem_mask = _element_set(F, box_cap, deadline)
+    checked every 256 intervals, raises TimeLimitError.  elements, if given,
+    is _element_set(F, box_cap, deadline), as in root_refutation."""
+    g, strides, _, elem_mask = elements or _element_set(F, box_cap, deadline)
     n = len(g)
     covered = 0
     for k, (a, b) in enumerate(partition.intervals):

@@ -1,5 +1,6 @@
 """Invariance checking records, random instance generation, and the bench harness."""
 
+import importlib
 import random
 
 import pytest
@@ -24,10 +25,9 @@ from monocanon.canonical import shift_transform
 from monocanon.cli import main
 
 
-def count_calls(monkeypatch, *names):
-    """Wrap the named functions of monocanon.invariance to count their calls."""
-    import monocanon.invariance as module
-
+def count_calls(monkeypatch, *names, module="monocanon.invariance"):
+    """Wrap the named functions of module to count their calls."""
+    module = importlib.import_module(module)
     counts = dict.fromkeys(names, 0)
     for name in names:
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
@@ -46,9 +46,18 @@ class TestDuplicateForms:
         assert forms["shift(v=0,k=5)"].I.gens == F.I.gens
         assert forms["canonical"].I.gens != F.I.gens
         counts = count_calls(monkeypatch, "depth", "sdepth", "verify_decomposition")
+        scans = count_calls(monkeypatch, "_scan", module="monocanon.koszul")
+        shared = count_calls(monkeypatch, "_element_set")
+        inner = count_calls(monkeypatch, "_element_set", module="monocanon.sdepth")
         rec = check_forms("dup", forms)
-        # one search, on the canonical form; the input verifies its lift
+        # one search, on the canonical form; the input verifies its lift; the
+        # canonical form has the input's rank coding, so one Koszul scan
         assert counts == {"depth": 2, "sdepth": 1, "verify_decomposition": 2}
+        assert scans == {"_scan": 1}
+        # the input's element set serves its verification and its refutation;
+        # the canonical form's poset and verification build their own
+        assert shared == {"_element_set": 1}
+        assert inner == {"_element_set": 2}
         assert rec.status == PASS
         assert list(rec.depth_values) == list(rec.sdepth_values) == list(forms)
         assert rec.depth_values["shift(v=0,k=5)"] == rec.depth_values["input"]
@@ -57,10 +66,13 @@ class TestDuplicateForms:
     def test_check_output_is_unchanged(self, monkeypatch, capsys):
         # five of the thirty forms repeat an earlier form of their factor,
         # and each factor's forms share one canonical form, searched once;
-        # the lines were printed before repeated forms were skipped
+        # the lines were printed before repeated forms were skipped; all
+        # forms of a factor share one rank coding, so one Koszul scan each
         counts = count_calls(monkeypatch, "depth", "sdepth")
+        scans = count_calls(monkeypatch, "_scan", module="monocanon.koszul")
         assert main(["check", "--random", "2", "3", "10", "5"]) == 0
         assert counts == {"depth": 25, "sdepth": 10}
+        assert scans == {"_scan": 10}
         values = [1, 1, 2, 1, 0, 0, 0, 1, 1, 1]
         assert capsys.readouterr().out == "".join(
             f"PASS random[{i}]: depth={v} sdepth={v} on 3 forms\n"
@@ -94,6 +106,7 @@ class TestLiftedCertificates:
         F, W = fac("x", "x^3"), fac("x", "x", "x^2")
         monkeypatch.setattr("monocanon.invariance.canonicalize", lambda G: W)
         counts = count_calls(monkeypatch, "root_refutation", "exists_partition", "sdepth")
+        scans = count_calls(monkeypatch, "_scan", module="monocanon.koszul")
         rec = check_forms("wrong", {"input": F, "canonical": W})
         assert rec.status == FAIL
         assert rec.sdepth_values == {"input": 1, "canonical": 0}
@@ -101,6 +114,23 @@ class TestLiftedCertificates:
         assert rec.depth_values == {"input": 1, "canonical": 0}
         # W for the input, F itself after the fallback, W as a form of its own
         assert counts == {"root_refutation": 1, "exists_partition": 1, "sdepth": 3}
+        # W's rank coding is not F's, so each form gets its own scan
+        assert scans == {"_scan": 2}
+
+    def test_a_form_over_the_koszul_box_cap_is_skipped(self, monkeypatch):
+        # (x^3) fits the cap of 4 cells, its shift (x^4) does not; the shift
+        # has the input's rank coding, already scanned, but its own box cap
+        # is checked before the memo is read
+        F = fac("x", "x^3")
+        forms = {"input": F, "canonical": canonicalize(F),
+                 "shift(v=0,k=1)": shift_transform(F, 0, 1)}
+        assert forms["shift(v=0,k=1)"].I.gens == ((4,),)
+        scans = count_calls(monkeypatch, "_scan", module="monocanon.koszul")
+        rec = check_forms("capped", forms, box_cap=4)
+        assert rec.status == SKIPPED
+        assert rec.reason == "Koszul box has 5 cells, over the cap of 4"
+        assert rec.depth_values == {"input": 1, "canonical": 1}
+        assert scans == {"_scan": 1}
 
     def test_the_fallback_search_alone_gives_the_same_output(self, monkeypatch, capsys):
         # with the element-set refutation switched off, every form that is

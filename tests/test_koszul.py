@@ -24,6 +24,7 @@ from monocanon import (
     parse_field,
 )
 from monocanon import koszul
+from monocanon.canonical import shift_transform
 from monocanon.koszul import _lcm_lattice, _matmul_is_zero, _rank_coding, homology_profile
 
 
@@ -395,6 +396,25 @@ class TestDepth:
     def test_maximal_ideal_in_twelve_variables(self):
         F = _veronese(12, 1)
         assert depth(F, PrimeField(32003), deadline=time.monotonic() + 8.0) == 1
+
+    def test_a_memo_scans_each_coding_once_per_field(self, monkeypatch):
+        # K[RP2] on its six-vertex triangulation: Cohen-Macaulay over Q, but
+        # not over GF(2), where it has homology in H_1
+        non_faces = [S for S in combinations(range(6), 3) if S not in RP2]
+        F = Factor(MonomialIdeal(6, [(0,) * 6]),
+                   MonomialIdeal(6, [tuple(int(j in S) for j in range(6))
+                                     for S in non_faces]))
+        scans = []
+        real = koszul._scan
+        monkeypatch.setattr(koszul, "_scan", lambda *args: scans.append(0) or real(*args))
+        memo = {}
+        assert depth(F, scans=memo) == 3
+        assert depth(F, PrimeField(2), scans=memo) == 2
+        # a shift of F has other exponents but F's rank coding
+        assert depth(shift_transform(F, 0, 1), PrimeField(2), scans=memo) == 2
+        assert len(scans) == len(memo) == 2
+        with pytest.raises(BoxCapError, match="Koszul box"):
+            depth(F, scans=memo, box_cap=63)
 
     def test_one_profile_per_support_shape(self, monkeypatch):
         # m_8 has 255 lattice points but only 8 support sizes, each with the
