@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from operator import getitem
 
-from .ideals import Factor, FactorError, MonomialIdeal, minimalize
+from .ideals import Factor, FactorError, MonomialIdeal
 from .sdepth import IntervalPartition
 
 
@@ -24,16 +24,15 @@ class GapError(ValueError):
     """collapse_gap_step was asked to close a gap that is not there."""
 
 
-def _gens(X):
-    return X.union_gens() if isinstance(X, Factor) else X.gens
-
-
 def type_wrt(F: Factor | MonomialIdeal, v: int) -> tuple[int, ...]:
     """Distinct positive x_v-exponents, increasing: across G(I) and G(J) for
-    a Factor, across the generators for a MonomialIdeal."""
+    a Factor, read from its kept types, across the generators for a
+    MonomialIdeal."""
     if not 0 <= v < F.n:
         raise IndexError(f"variable index {v} out of range for {F.n} variables")
-    return tuple(sorted({m[v] for m in _gens(F) if m[v] > 0}))
+    if isinstance(F, Factor):
+        return F.types()[v]
+    return tuple(sorted({m[v] for m in F.gens if m[v] > 0}))
 
 
 def _substitute(X, maps: dict[int, dict[int, int]]):
@@ -68,9 +67,12 @@ def _compression_map(powers) -> dict[int, int]:
 
 
 def _compression_maps(X) -> dict[int, dict[int, int]]:
-    """The compression map of every variable, from one scan of the generators."""
+    """The compression map of every variable: from a Factor's kept types, or
+    from one scan of an ideal's generators."""
+    if isinstance(X, Factor):
+        return dict(enumerate(map(_compression_map, X.types())))
     return {v: _compression_map(sorted(set(col) - {0}))
-            for v, col in enumerate(zip(*_gens(X)))}
+            for v, col in enumerate(zip(*X.gens))}
 
 
 def canonicalize_var(F: Factor, v: int) -> Factor:
@@ -81,17 +83,6 @@ def canonicalize_var(F: Factor, v: int) -> Factor:
 def canonicalize(F: Factor) -> Factor:
     """Canonical form: compress every variable.  Idempotent and order-independent."""
     return _substitute(F, _compression_maps(F))
-
-
-def canonical_gens(F: Factor):
-    """(C.I.gens, C.J.gens) for C = canonicalize(F), without building C."""
-    maps = _compression_maps(F).values()
-
-    def image(gens):
-        return minimalize(zip(*[map(mp.get, col, col)
-                                for mp, col in zip(maps, zip(*gens))]))
-
-    return image(F.I.gens), image(F.J.gens)
 
 
 def lift(F: Factor, partition: IntervalPartition) -> IntervalPartition:
@@ -127,9 +118,7 @@ def canonicalize_ideal(I: MonomialIdeal) -> MonomialIdeal:
 
 def is_canonical(F: Factor) -> bool:
     """True iff every variable has type (1, ..., s)."""
-    return all(
-        (not p or p[-1] == len(p)) for p in (type_wrt(F, v) for v in range(F.n))
-    )
+    return all(not p or p[-1] == len(p) for p in F.types())
 
 
 def collapse_gap_step(F: Factor, v: int, j: int) -> Factor:

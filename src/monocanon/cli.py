@@ -262,8 +262,8 @@ def build_parser() -> _Parser:
     p.add_argument("--field", default="q", help="q (rationals) or p<prime>")
     p.add_argument("--trace", action="store_true",
                    help="one JSON record on stderr per scanned lcm-lattice slice")
-    budget = ("partition search nodes per level d (exit 3 when exceeded; "
-              f"default {DEFAULT_NODE_BUDGET})")
+    budget = ("partition search nodes per engine per level d; exit 3 when both "
+              f"engines exceed it (default {DEFAULT_NODE_BUDGET})")
 
     p = add("sdepth", cmd_sdepth, "exact Stanley depth with certificate", whole)
     p.add_argument("file")

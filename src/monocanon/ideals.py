@@ -155,7 +155,7 @@ class MonomialIdeal:
 class Factor:
     """The factor module I/J; J must be strictly contained in I (J = 0 allowed)."""
 
-    __slots__ = ("I", "J", "_join")
+    __slots__ = ("I", "J", "_join", "_types")
 
     def __init__(self, I: MonomialIdeal, J: MonomialIdeal | None = None):
         if J is None:
@@ -173,6 +173,7 @@ class Factor:
         object.__setattr__(self, "J", J)
         object.__setattr__(
             self, "_join", tuple(map(max, zip((0,) * I.n, *I.gens, *J.gens))))
+        object.__setattr__(self, "_types", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Factor is immutable")
@@ -189,6 +190,14 @@ class Factor:
         """Componentwise maximum over all generators of I and J, computed
         once, when the factor is made."""
         return self._join
+
+    def types(self) -> tuple[tuple[int, ...], ...]:
+        """The type of every variable: its distinct positive exponents over
+        G(I) and G(J), increasing.  Computed on first use and kept."""
+        if self._types is None:
+            object.__setattr__(self, "_types", tuple(
+                tuple(sorted(set(col) - {0})) for col in zip(*self.I.gens, *self.J.gens)))
+        return self._types
 
     def support(self, a) -> bool:
         """True iff x^a lies in I but not in J."""

@@ -6,13 +6,13 @@ forms, once per distinct pair of generator tuples, and compares.  Depth
 comes from one Koszul scan per distinct rank coding: the scan reads a form
 only through its own rank coding, which all forms of one factor share, so
 one scan usually serves them all, while each form's box cap is still
-checked.  Sdepth comes from one partition search per distinct canonical
-form.  Every other form gets its sdepth from two checks on that form
-itself: the canonical certificate, lifted to it, must verify, and the next
-level must be refuted on its own element set, or by a search of its own
-poset when that does not settle it.  Resource limits turn a comparison into
-SKIPPED (never PASS), and a certificate that fails verification is itself a
-failure.
+checked.  Sdepth comes from one partition search per distinct rank
+coding, which is one per distinct canonical form.  Every other form gets
+its sdepth from two checks on that form itself: the canonical certificate,
+lifted to it, must verify, and the next level must be refuted on its own
+element set, or by a search of its own poset when that does not settle it.
+Resource limits turn a comparison into SKIPPED (never PASS), and a
+certificate that fails verification is itself a failure.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field
 
-from .canonical import canonical_gens, canonicalize, lift, shift_transform
+from .canonical import canonicalize, is_canonical, lift, shift_transform
 from .ideals import MAX_EXPONENT, Factor
-from .koszul import FieldChoice, Rationals, depth
+from .koszul import FieldChoice, Rationals, _coding_key, _rank_coding, depth
 from .limits import DEFAULT_BOX_CAP, ResourceError
 from .sdepth import (DEFAULT_NODE_BUDGET, _element_set, char_poset,
                      exists_partition, root_refutation, sdepth,
@@ -82,22 +82,28 @@ def check_forms(label: str, forms: dict[str, Factor],
     keyed by each form's own coding, never by its canonical form, so a
     canonical form that is wrong still shows up as a depth that differs.
 
-    The search runs on the canonical form C of a form G, taken from forms
-    when one has C's generators, and otherwise built by canonicalize.  Its
-    certificate at level s, lifted to G (canonical.lift), must verify on G,
-    so sdepth(G) >= s.  Unless G is C, level s + 1 must then be refuted on G
-    itself: s = n, or root_refutation on G's element set (built once for it
-    and the verification), or failing both, exists_partition on G's own
-    poset under the same limits.  If that search
-    finds a partition, sdepth(G) is computed in full and differs from s.
+    The partition search runs once per distinct rank coding too, keyed the
+    same way without the characteristic: two forms share a coding iff they
+    share a canonical form.  It searches the form with that coding that
+    is_canonical, or failing that canonicalize(G).  Its certificate at
+    level s, lifted to each other form G (canonical.lift), must verify on
+    G, so sdepth(G) >= s.  Level s + 1 must then be refuted on G itself:
+    s = n, or root_refutation on G's element set (built once for it and the
+    verification), or failing both, exists_partition on G's own poset under
+    the same limits.  If that search finds a partition, sdepth(G) is
+    computed in full and differs from s.
     """
     dvals: dict[str, int] = {}
     svals: dict[str, int] = {}
     first: dict[tuple, str] = {}  # generators of I and J -> first form with them
     for name, G in forms.items():
         first.setdefault((G.I.gens, G.J.gens), name)
+    codes = {}  # rank coding of each form that is first with its generators
+    for name in first.values():
+        gens, _, fields, _ = _rank_coding(forms[name])
+        codes[name] = _coding_key(gens, fields)
     scans: dict = {}  # rank coding -> depth, filled by koszul.depth
-    searched: dict[tuple, tuple] = {}  # canonical generators -> sdepth, certificate
+    searched: dict[tuple, tuple] = {}  # rank coding -> searched form, sdepth, certificate
     limits = {"box_cap": box_cap, "deadline": deadline}
     try:
         for name, G in forms.items():
@@ -106,13 +112,15 @@ def check_forms(label: str, forms: dict[str, Factor],
                 dvals[name], svals[name] = dvals[first[key]], svals[first[key]]
                 continue
             dvals[name] = depth(G, field, scans=scans, **limits)
-            ckey = canonical_gens(G)
-            if ckey not in searched:
-                C = forms[first[ckey]] if ckey in first else canonicalize(G)
-                searched[ckey] = sdepth(C, node_budget=node_budget, **limits)
-            value, cert = searched[ckey]
-            elements = None  # G's element set, when G is not canonical
-            if ckey != key:
+            code = codes[name]
+            if code not in searched:
+                canonical = [forms[m] for m, c in codes.items()
+                             if c == code and is_canonical(forms[m])]
+                C = canonical[0] if canonical else canonicalize(G)
+                searched[code] = (C, *sdepth(C, node_budget=node_budget, **limits))
+            C, value, cert = searched[code]
+            elements = None  # G's element set, when G is not the searched form
+            if G is not C:
                 cert = lift(G, cert)
                 elements = _element_set(G, box_cap, deadline)
             if not verify_decomposition(G, cert, value, elements=elements, **limits):

@@ -299,8 +299,12 @@ def homology_profile(n: int, present_mask: int, field: FieldChoice = Rationals()
 
 def _rank_coding(F: Factor, *extra):
     """The rank codes (see the module docstring) of G(I) and G(J), as a pair,
-    and of extra, the field of each axis, and the decoder of a code."""
-    values = [sorted({0, *col}) for col in zip(*F.I.gens, *F.J.gens, *extra)]
+    and of extra, the field of each axis, and the decoder of a code.  With no
+    extra the exponents of each axis are 0 and F's type of it."""
+    if extra:
+        values = [sorted({0, *col}) for col in zip(*F.I.gens, *F.J.gens, *extra)]
+    else:
+        values = [(0, *t) for t in F.types()]
     shift = sum(map(len, values)) - F.n  # total width: one bit per nonzero rank
     ranks, fields = [], []
     for vs in values:
@@ -312,6 +316,14 @@ def _rank_coding(F: Factor, *extra):
     decode = lambda c: tuple(vs[(c & f).bit_count()] for vs, f in zip(values, fields))
     gens = ([*map(encode, F.I.gens)], [*map(encode, F.J.gens)])
     return gens, [*map(encode, extra)], fields, decode
+
+
+def _coding_key(gens, fields) -> tuple:
+    """The key of a rank coding (gens and fields as _rank_coding returns
+    them): the codes of G(I) and G(J) as sets, and the axis fields.  Two
+    factors share it iff their canonical forms are equal, since each code
+    spells the canonical exponents in fields as wide as the types."""
+    return frozenset(gens[0]), frozenset(gens[1]), tuple(fields)
 
 
 def _present_mask(c: int, fields, gens) -> tuple[int, int]:
@@ -384,7 +396,7 @@ def depth(F: Factor, field: FieldChoice = Rationals(), *,
     if scans is None:
         return _scan(F.n, gens, fields, decode, field, deadline, trace)
     check_deadline(deadline)
-    key = (field.p, frozenset(gens[0]), frozenset(gens[1]), tuple(fields))
+    key = (field.p, *_coding_key(gens, fields))
     if key not in scans:
         scans[key] = _scan(F.n, gens, fields, decode, field, deadline, trace)
     return scans[key]

@@ -13,7 +13,7 @@ poset together with the rows of its exact cover, for every element a each
 interval [a, b] inside the element set whose top has every b_j in
 {a_j, g_j}.  exists_partition decides one level d.  It refutes d without
 search when some element starts no row that reaches d.  Otherwise it
-solves an exact cover problem over the rows.
+solves exact cover problems over the rows.
 Elements are numbered in lex order; a row stores the elements it covers as
 a bitmask, and an element stores the rows that contain it as a bitmask.
 A row's top is kept as its cell index and its rho as a byte, and the build
@@ -21,19 +21,24 @@ packs its bound pattern into one byte string per eight axes, so the rows on
 the bound along an axis, or reaching a level, are one bytes.translate of
 such a string.  The rows are grown as runs of plain ints, with no object
 per row for the garbage collector to track.
-The search is Algorithm X on those bitsets (Knuth, Dancing Links, 2000): it
-branches on the uncovered element with the fewest rows still compatible
+Each search is Algorithm X on those bitsets (Knuth, Dancing Links, 2000):
+it branches on the uncovered element with the fewest rows still compatible
 with the choices made so far, biggest intervals first; a chosen row drops
-the rows that meet it, the OR of rows_with over its elements.  One
-Hilbert-series test refutes a set U of elements when the truncated
-polynomial sum over a in U with rho(a) <= d of t^|a| (1-t)^(d - rho(a))
-has a negative coefficient.  It runs on the whole element set before the
-search, where it subsumes the bound that a Stanley decomposition of depth
->= d makes (1-t)^d H(t) nonnegative, H(t) being the Hilbert series of I/J
-(Uliczka, Manuscripta Math. 2010), and on the uncovered set of every node
-from a level's first dead end on.  No U that the rows partition is refuted
-(see exists_partition).  The search is complete and the rows lose no
-partition, so sdepth below is exact.
+the rows that meet it, the OR of rows_with over its elements.  Two such
+searches, resumable engines of one core (_cover), race under node
+allowances that double every round: the truncated engine covers only the
+elements with rho <= d by the rows with rho == d and leaves the rest as
+single elements, the full engine covers everything by the rows with
+rho >= d.  Neither wins everywhere, and the first to finish settles the
+level.  One Hilbert-series test refutes a set U of elements when the
+truncated polynomial sum over a in U with rho(a) <= d of
+t^|a| (1-t)^(d - rho(a)) has a negative coefficient.  It runs on the whole
+element set before the search, where it subsumes the bound that a Stanley
+decomposition of depth >= d makes (1-t)^d H(t) nonnegative, H(t) being the
+Hilbert series of I/J (Uliczka, Manuscripta Math. 2010), and on the
+uncovered set of every node from an engine's first dead end on.  No U that
+the rows partition is refuted (see exists_partition).  Each engine is
+complete and the rows lose no partition, so sdepth below is exact.
 root_refutation runs the reach and root Hilbert tests of one level from the
 element mask alone, with no rows built.
 verify_decomposition checks a certificate against the element mask alone;
@@ -157,6 +162,12 @@ class CharacteristicPoset:
         """Bitmask of the rows whose top has rho >= d."""
         return _column(self.row_rho_nz, _AT_LEAST[max(d - self.zero_axes, 0)])
 
+    def level_rows(self, d: int) -> int:
+        """Bitmask of the rows whose top has rho == d."""
+        if d < self.zero_axes:
+            return 0
+        return _column(self.row_rho_nz, _EQUAL[d - self.zero_axes])
+
 
 def _cell_coords(idx: int, strides) -> Monomial:
     a = []
@@ -173,8 +184,9 @@ def _column(records: bytes, table: bytes) -> int:
 
 
 _BIT = [(b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8)]
-# _AT_LEAST[t] maps a byte to b"1" iff it is at least t
+# _AT_LEAST[t] maps a byte to b"1" iff it is at least t, _EQUAL[t] iff it is t
 _AT_LEAST = [b"0" * t + b"1" * (256 - t) for t in range(256)]
+_EQUAL = [b"0" * t + b"1" + b"0" * (255 - t) for t in range(256)]
 
 
 def _decode(elem_mask: int, g, strides, deadline):
@@ -365,55 +377,27 @@ def _candidates(uncovered: int, live: int, rows_with, row_mask, deadline) -> lis
     return rows
 
 
-def exists_partition(poset: CharacteristicPoset, d: int,
-                     node_budget: int = DEFAULT_NODE_BUDGET,
-                     deadline: float | None = None) -> IntervalPartition | None:
-    """A partition whose interval tops all have rho >= d, or None if none exists.
+def _cover(poset: CharacteristicPoset, uncovered: int, live: int, refutes, deadline):
+    """One engine of exists_partition: a depth-first exact cover of the
+    elements in uncovered by the rows in live, run in rounds.
 
-    The rows are the poset's own, built with it.  A level d above the
-    poset's reach (some element starts no interval with rho >= d) is refuted
-    without search.  Otherwise this is a complete depth-first exact cover
-    search over the rows with rho >= d: it branches on the uncovered element
-    with the fewest live rows, biggest rows first.  A node is one candidate
-    interval applied; exceeding node_budget raises SearchBudgetError and a
-    passed deadline raises TimeLimitError, both distinct from the None
-    answer.
-
-    At every level one Hilbert-series test (see _truncated_check) refutes
-    a set U of elements when P_U(t), the sum over a in U with rho(a) <= d
-    of t^|a| (1-t)^(d - rho(a)), has a negative coefficient.  It runs on
-    the whole element set at the root, and on the uncovered set of every
-    node from the level's first dead end on (the first frame that runs out
-    of candidates).  It is sound for every U.  Suppose some rows with rho >= d
-    partition U.  Split each row along its raised axes until every piece has
-    a top with rho exactly d or is a single element with rho > d (the
-    splitting argument above char_poset).  The elements of a piece [a, b]
-    with rho(b) = d have series summing to t^|a| / (1-t)^d, and a single
-    element with rho > d is not in P_U, so P_U is the sum of t^|a| over the
-    pieces with rho(b) = d, with no negative coefficient.  At the root, P_U
-    is (1-t)^d H(t), H being the Hilbert series of I/J, minus the series of
-    the elements with rho > d, whose coefficients are nonnegative, so the
-    test refutes every level that Uliczka's bound does.  A cut subtree
-    holds no partition and candidates keep their order, so the search
-    returns the same partition as without the test.
+    A generator, primed with next().  Each value sent to it is the number of
+    nodes it may have made in all, and it yields when the next node would
+    pass that, keeping its stack for the next round.  It returns the chosen
+    rows, or None once it has searched everything.  It branches on the
+    uncovered element with the fewest live rows, biggest rows first; a node
+    is one candidate row applied.  refutes (see _truncated_check) runs on
+    the uncovered set of every node from the engine's first dead end on
+    (the first frame that runs out of candidates).
     """
-    n = poset.n
-    if not 0 <= d <= n:
-        raise ValueError(f"interval-top bound d={d} outside 0..{n}")
-    if d > poset.reach:
-        return None
-    refutes = _truncated_check(poset.degree_classes, len(poset.coords), d)
-    uncovered = (1 << len(poset.coords)) - 1
-    if refutes(uncovered):
-        return None
     rows_with, row_mask = poset.rows_with, poset.row_mask
-    live = poset.live_rows(d)
+    allowance = yield
     # a frame is [uncovered, live, candidates, next candidate]; the rows
     # chosen so far are the frames' last tried candidates
     stack = [[uncovered, live,
               _candidates(uncovered, live, rows_with, row_mask, deadline), 0]]
     nodes = 0
-    gated = False  # refutes runs at every node from the level's first dead end on
+    gated = False
     while stack:
         frame = stack[-1]
         uncovered, live, cands, i = frame
@@ -421,10 +405,10 @@ def exists_partition(poset: CharacteristicPoset, d: int,
             stack.pop()
             gated = True
             continue
-        frame[3] = i + 1
         nodes += 1
-        if nodes > node_budget:
-            raise SearchBudgetError(f"partition search exceeded {node_budget} nodes at d={d}")
+        while nodes > allowance:
+            allowance = yield
+        frame[3] = i + 1
         if not nodes % 256:
             check_deadline(deadline)
         r = cands[i]
@@ -432,11 +416,7 @@ def exists_partition(poset: CharacteristicPoset, d: int,
         if gated and refutes(remaining):
             continue
         if remaining == 0:
-            coords, bottom, top = poset.coords, poset.row_bottom, poset.row_top
-            return IntervalPartition(tuple([
-                (coords[bottom[c]], _cell_coords(top[c], poset.strides))
-                for c in (f[2][f[3] - 1] for f in stack)
-            ]))
+            return [f[2][f[3] - 1] for f in stack]
         meets = 0  # the rows that share an element with row r
         for k, e in enumerate(_bits(row_mask[r])):
             if not k % 256:
@@ -446,6 +426,106 @@ def exists_partition(poset: CharacteristicPoset, d: int,
         stack.append([remaining, live,
                       _candidates(remaining, live, rows_with, row_mask, deadline), 0])
     return None
+
+
+def exists_partition(poset: CharacteristicPoset, d: int,
+                     node_budget: int = DEFAULT_NODE_BUDGET,
+                     deadline: float | None = None) -> IntervalPartition | None:
+    """A partition whose interval tops all have rho >= d, or None if none exists.
+
+    The rows are the poset's own, built with it.  A level d above the
+    poset's reach (some element starts no interval with rho >= d) is refuted
+    without search, and so is a level that the Hilbert-series test below
+    refutes on the whole element set.  Otherwise two complete engines of
+    _cover decide the level:
+
+    - the truncated engine covers the elements with rho <= d by the rows
+      whose top has rho == d, and leaves every element with rho > d as a
+      singleton interval;
+    - the full engine covers every element by the rows with rho >= d.
+
+    They run in rounds, the truncated engine first in each.  In the first
+    round each engine may make as many nodes as the truncated engine has
+    elements to cover; the allowance doubles every round, and each engine
+    resumes where it stopped (Luby-Sinclair-Zuckerman, Inf. Process. Lett.
+    1993).  The first engine that finds a partition or finishes its search
+    settles the level.  node_budget caps the nodes of each engine; only when
+    both have used it up is SearchBudgetError raised.  A passed deadline
+    raises TimeLimitError.  Both are distinct from the None answer.  When no
+    element has rho > d the two engines are one, and it runs alone.
+
+    Truncation lemma: a partition with tops of rho >= d exists iff the rows
+    with rho == d partition the elements with rho <= d.  Split each interval
+    of a partition along its raised axes until every piece has a top with
+    rho exactly d or is a single element with rho > d (the splitting
+    argument above char_poset).  rho does not fall from the top of an
+    interval to its elements, so the pieces with rho == d hold exactly the
+    elements with rho <= d.  Conversely such rows, with singletons for the
+    elements with rho > d, make a partition.
+
+    At every level one Hilbert-series test (see _truncated_check) refutes
+    a set U of elements when P_U(t), the sum over a in U with rho(a) <= d
+    of t^|a| (1-t)^(d - rho(a)), has a negative coefficient.  It runs on
+    the whole element set at the root, and inside each engine (see _cover).
+    It is sound for every U.  Suppose some rows with rho >= d partition U.
+    Split them into pieces as above.  The elements of a piece [a, b]
+    with rho(b) = d have series summing to t^|a| / (1-t)^d, and a single
+    element with rho > d is not in P_U, so P_U is the sum of t^|a| over the
+    pieces with rho(b) = d, with no negative coefficient.  At the root, P_U
+    is (1-t)^d H(t), H being the Hilbert series of I/J, minus the series of
+    the elements with rho > d, whose coefficients are nonnegative, so the
+    test refutes every level that Uliczka's bound does.  A cut subtree
+    holds no partition and candidates keep their order, so each engine
+    returns the same partition as without the test.
+    """
+    n = poset.n
+    if not 0 <= d <= n:
+        raise ValueError(f"interval-top bound d={d} outside 0..{n}")
+    if d > poset.reach:
+        return None
+    refutes = _truncated_check(poset.degree_classes, len(poset.coords), d)
+    everything = (1 << len(poset.coords)) - 1
+    if refutes(everything):
+        return None
+    low = 0  # the elements with rho <= d
+    for (_, r), m in poset.degree_classes.items():
+        if r <= d:
+            low |= m
+    rows = []
+    if low:
+        engines = [_cover(poset, low, poset.level_rows(d), refutes, deadline)]
+        if low != everything:
+            engines.append(_cover(poset, everything, poset.live_rows(d), refutes, deadline))
+        rows = _race(engines, low.bit_count(), node_budget, d)
+        if rows is None:
+            return None
+    coords, bottom, top = poset.coords, poset.row_bottom, poset.row_top
+    intervals = [(coords[bottom[r]], _cell_coords(top[r], poset.strides)) for r in rows]
+    single = everything  # the elements that no chosen row covers
+    for r in rows:
+        single &= ~poset.row_mask[r]
+    intervals += [(coords[e], coords[e]) for e in _bits(single)]
+    return IntervalPartition(tuple(intervals))
+
+
+def _race(engines, allowance: int, node_budget: int, d: int):
+    """The answer of the first of the engines (_cover generators) to finish,
+    run in rounds: each engine may make allowance more nodes in a round, up
+    to node_budget in all, and the allowance doubles every round."""
+    for engine in engines:
+        next(engine)
+    cap = 0
+    while True:
+        cap = min(cap + allowance, node_budget)
+        for engine in engines:
+            try:
+                engine.send(cap)
+            except StopIteration as done:
+                return done.value
+        if cap >= node_budget:
+            raise SearchBudgetError(
+                f"partition search exceeded {node_budget} nodes at d={d}")
+        allowance *= 2
 
 
 def root_refutation(F: Factor, d: int, box_cap: int = DEFAULT_BOX_CAP,

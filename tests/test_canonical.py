@@ -30,7 +30,8 @@ from monocanon import (
     type_wrt,
     verify_decomposition,
 )
-from monocanon.canonical import _substitute, canonical_gens
+from monocanon.canonical import _substitute
+from monocanon.koszul import _coding_key, _rank_coding
 
 
 class TestTypeWrt:
@@ -61,6 +62,12 @@ class TestTypeWrt:
 
     def test_ideal_variant(self):
         assert type_wrt(ideal("x, y", "x^4, x^3*y^7"), 0) == (3, 4)
+
+    @given(helpers.factors())
+    def test_kept_types_match_a_scan_of_the_generators(self, F):
+        assert F.types() is F.types()
+        for v, kept in enumerate(F.types()):
+            assert kept == tuple(sorted({m[v] for m in F.union_gens() if m[v]}))
 
 
 class TestCanonicalizeVar:
@@ -317,15 +324,17 @@ class TestLift:
 
     def test_readme_example(self):
         # types x: (1, 100), y: (50,), z: (1, 50); the canonical certificate
-        # is the README's decomposition, and canonical y = 0 stands for the
-        # raw exponents 0..49
+        # is the README's decomposition, four single elements, and canonical
+        # x = 1 stands for the raw exponents 1..99, y = 0 for 0..49 and
+        # z = 1 for 1..49
         F = fac("x, y, z", "x*y^50*z^50, x^100*z^50, x^100*y^50*z")
         s, lifted = lifted_certificate(F)
         assert s == 2
         assert sorted(lifted.intervals) == [
-            ((1, 50, 50), (100, 50, 50)),
+            ((1, 50, 50), (99, 50, 50)),
             ((100, 0, 50), (100, 49, 50)),
             ((100, 50, 1), (100, 50, 49)),
+            ((100, 50, 50), (100, 50, 50)),
         ]
 
     def test_a_coordinate_past_the_type_raises(self):
@@ -334,8 +343,19 @@ class TestLift:
             lift(F, IntervalPartition((((0, 2), (2, 2)),)))
 
 
+def coding_key(F):
+    gens, _, fields, _ = _rank_coding(F)
+    return _coding_key(gens, fields)
+
+
 class TestCanonicalGens:
     @given(helpers.factors())
     def test_matches_canonicalize(self, F):
+        # the rank coding that keys check_forms' searches stands for the
+        # canonical generators: F shares it with its canonical form, and its
+        # codes count out the canonical exponents in the axis fields
         C = canonicalize(F)
-        assert canonical_gens(F) == (C.I.gens, C.J.gens)
+        assert coding_key(F) == coding_key(C)
+        codes_I, codes_J, fields = coding_key(F)
+        for codes, gens in [(codes_I, C.I.gens), (codes_J, C.J.gens)]:
+            assert {tuple((c & f).bit_count() for f in fields) for c in codes} == set(gens)

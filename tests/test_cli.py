@@ -129,7 +129,8 @@ class TestSdepth:
         assert out[0] == "sdepth = 1"
         assert "decomposition:" in out
         assert "  x * K[x]" in out
-        assert "  y * K[x, y]" in out
+        assert "  y * K[y]" in out
+        assert "  x*y * K[x, y]" in out
 
     def test_no_canon_drops_the_note(self, write, capsys):
         path = write(MAXIMAL)
@@ -144,7 +145,7 @@ class TestSdepth:
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == 1
         assert [[1, 0], [1, 0]] in payload["intervals"]
-        assert payload["stanley_spaces"] == ["x * K[x]", "y * K[x, y]"]
+        assert payload["stanley_spaces"] == ["x * K[x]", "y * K[y]", "x*y * K[x, y]"]
 
     def test_box_cap_exit_code(self, write, capsys):
         assert main(["sdepth", "--no-canon", write(HUGE)]) == EXIT_RESOURCE

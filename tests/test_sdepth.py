@@ -34,7 +34,8 @@ from monocanon import (
     sdepth,
     verify_decomposition,
 )
-from monocanon.sdepth import _block_mask, _truncated_check, root_refutation
+from monocanon.sdepth import (DEFAULT_NODE_BUDGET, _block_mask, _cell_coords, _cover,
+                              _race, _truncated_check, root_refutation)
 
 
 def oracle_verify(F, intervals, d) -> bool:
@@ -284,9 +285,9 @@ class TestExistsPartition:
             exists_partition(P, 1, deadline=time.monotonic() - 1.0)
 
     def test_deadline_overshoot_on_a_raw_box(self):
-        # 7450 elements in a 262,701-cell box; the d=1 search alone runs for
+        # 7518 elements in a 31 x 41 x 36 box; the d=1 search alone runs for
         # seconds, so the deadline fires in the search
-        P = char_poset(fac("x, y, z", "x^100*y*z, x^50*y*z^50, x^50*y^50*z"))
+        P = char_poset(parse_problem(WIDE_1).factor())
         start = time.monotonic()
         with pytest.raises(TimeLimitError):
             exists_partition(P, 1, deadline=start + 0.5)
@@ -393,15 +394,15 @@ class TestHilbertRefutation:
                 assert exists_partition(P, d) is None
 
     def test_level_zero_refutes_nothing(self):
-        # at d=0 every term is a monomial t^|a|, so no set is refuted, and
-        # the search returns the partition it returned when level 0 built
-        # no test
+        # at d=0 every term is a monomial t^|a|, so no set is refuted; the
+        # truncated engine covers (2, 0), the one element with rho 0, by its
+        # own row, and the elements with rho 1 stay single
         P = char_poset(fac("x, y", "x^2, x*y", "x^3"))
         refutes = level_check(P, 0)
         assert not refutes((1 << len(P.coords)) - 1)
         assert not refutes(0)
         assert exists_partition(P, 0) == IntervalPartition((
-            ((1, 1), (1, 1)), ((2, 0), (2, 1))))
+            ((2, 0), (2, 0)), ((1, 1), (1, 1)), ((2, 1), (2, 1))))
 
     @pytest.mark.parametrize("n, k, d", [
         (8, 1, 5), (9, 1, 6), (8, 3, 5), (8, 2, 5), (7, 2, 4),
@@ -581,7 +582,9 @@ class TestNodeCheck:
 
 
 class TestNodeCounts:
-    """The nodes each of these levels takes to solve, pinned exactly.
+    """The nodes each of these levels takes to solve, pinned exactly: the
+    smallest node budget, which counts per engine, under which the level
+    solves, so the nodes of the engine that needs fewer.
 
     Candidate order and pruning decide how many nodes a search makes.  A
     change of search order or pruning moves these counts: it updates the
@@ -589,14 +592,125 @@ class TestNodeCounts:
     """
 
     @pytest.mark.parametrize("n, k, j, d, nodes", [
-        (6, 2, 5, 3, 65), (5, 2, None, 3, 43), (6, 1, None, 3, 22),
-        (7, 3, None, 4, 875), (8, 2, None, 4, 789), (9, 1, None, 5, 776),
+        (6, 2, 5, 3, 20), (5, 2, None, 3, 14), (6, 1, None, 3, 20),
+        (7, 3, None, 4, 41), (8, 2, None, 4, 132), (9, 1, None, 5, 776),
     ])
     def test_solves_in_the_pinned_number_of_nodes(self, n, k, j, d, nodes):
         P = char_poset(veronese_factor(n, k, j)) if j else squarefree_veronese_poset(n, k)
         assert exists_partition(P, d, node_budget=nodes) is not None
         with pytest.raises(SearchBudgetError):
             exists_partition(P, d, node_budget=nodes - 1)
+
+
+def decide_alone(P, d, truncated, node_budget=DEFAULT_NODE_BUDGET):
+    """Level d decided by one engine of exists_partition alone, through
+    _cover and _race, from the root with no reach or root Hilbert test: the
+    partition it finds, or None.  The truncated engine covers the elements
+    with rho <= d by the rows with rho == d and leaves the rest single; the
+    full engine covers every element by the rows with rho >= d."""
+    everything = (1 << len(P.coords)) - 1
+    if truncated:
+        universe = sum(1 << e for e, a in enumerate(P.coords) if rho(a, P.g) <= d)
+        rows = P.level_rows(d)
+    else:
+        universe, rows = everything, P.live_rows(d)
+    chosen = []
+    if universe:
+        engine = _cover(P, universe, rows, level_check(P, d), None)
+        chosen = _race([engine], node_budget, node_budget, d)
+        if chosen is None:
+            return None
+    intervals = []
+    for r in chosen:
+        intervals.append((P.coords[P.row_bottom[r]], _cell_coords(P.row_top[r], P.strides)))
+        everything &= ~P.row_mask[r]
+    intervals += [(a, a) for e, a in enumerate(P.coords) if everything >> e & 1]
+    return IntervalPartition(tuple(intervals))
+
+
+# criterion 7's factor in its raw presentation: 7450 elements in a
+# 262,701-cell box
+CRITERION_7 = fac("x, y, z", "x^100*y*z, x^50*y*z^50, x^50*y^50*z")
+
+
+class TestPortfolio:
+    @given(helpers.factors(nmax=3, emax=2))
+    def test_each_engine_alone_matches_oracle(self, F):
+        P = char_poset(F)
+        for d in range(P.n + 1):
+            feasible = oracle_feasible(F, d)
+            for truncated in (True, False):
+                part = decide_alone(P, d, truncated)
+                assert (part is not None) == feasible
+                if part is not None:
+                    assert verify_decomposition(F, part, d)
+
+    def test_the_full_engine_meets_a_budget_the_truncated_one_cannot(self):
+        P = squarefree_veronese_poset(9, 1)
+        assert decide_alone(P, 5, truncated=False, node_budget=776) is not None
+        with pytest.raises(SearchBudgetError):
+            decide_alone(P, 5, truncated=True, node_budget=776)
+        assert exists_partition(P, 5, node_budget=776) is not None
+
+    def test_the_truncated_engine_meets_a_budget_the_full_one_cannot(self):
+        P = char_poset(veronese_factor(9, 3))
+        assert decide_alone(P, 4, truncated=True, node_budget=126) is not None
+        with pytest.raises(SearchBudgetError):
+            decide_alone(P, 4, truncated=False, node_budget=126)
+        assert exists_partition(P, 4, node_budget=126) is not None
+
+    def test_rounds_double_the_allowance_truncated_engine_first(self, monkeypatch):
+        # m_9 has 381 elements with rho <= 5, so each engine may make 381
+        # nodes in all in round one and 381 + 762 by the end of round two,
+        # when the full engine finishes at its 776th node
+        module = sys.modules["monocanon.sdepth"]
+        cover, sent = module._cover, []
+
+        class Logged:
+            def __init__(self, name, engine):
+                self.name, self.engine = name, engine
+
+            def __next__(self):
+                return next(self.engine)
+
+            def send(self, cap):
+                sent.append((self.name, cap))
+                return self.engine.send(cap)
+
+        P = squarefree_veronese_poset(9, 1)
+        full = (1 << len(P.coords)) - 1
+        monkeypatch.setattr(module, "_cover", lambda poset, uncovered, *args: Logged(
+            "full" if uncovered == full else "truncated", cover(poset, uncovered, *args)))
+        assert exists_partition(P, 5) is not None
+        assert sent == [("truncated", 381), ("full", 381), ("truncated", 1143), ("full", 1143)]
+
+    def test_budget_error_only_when_both_engines_use_it_up(self):
+        P = char_poset(veronese_factor(9, 3))
+        with pytest.raises(SearchBudgetError, match="125 nodes at d=4"):
+            exists_partition(P, 4, node_budget=125)
+
+    def test_raw_levels_zero_and_one(self):
+        # the full engine alone took 7 s on each of these levels
+        P = char_poset(CRITERION_7)
+        start = time.monotonic()
+        part = exists_partition(P, 0, deadline=start + 5.0)
+        assert time.monotonic() - start < 0.5
+        assert verify_decomposition(CRITERION_7, part, 0)
+        part = exists_partition(P, 1, deadline=time.monotonic() + 10.0)
+        assert verify_decomposition(CRITERION_7, part, 1)
+
+    def test_empty_truncated_universe_is_solved(self):
+        # at d=0 the element x (rho 1) has no rho below the level: every
+        # element is left single, with no search
+        F = fac("x", "x")
+        assert exists_partition(char_poset(F), 0, node_budget=0) == IntervalPartition(
+            (((1,), (1,)),))
+
+    def test_solves_a_level_that_ran_past_fifteen_seconds(self):
+        F = veronese_factor(9, 3)
+        part = exists_partition(char_poset(F), 4, deadline=time.monotonic() + 5.0)
+        assert part is not None
+        assert verify_decomposition(F, part, 4)
 
 
 class TestSdepth:
@@ -695,7 +809,7 @@ class TestPinnedCertificates:
         rng = random.Random(7)
         factors = [random_factor(rng, rng.randint(1, 4), 3) for _ in range(300)]
         assert certificate_digest(factors) == (
-            "1167d80ba8e88d382259335c84fafad544b442e7b30889d1daa7a02582e4ecbd")
+            "e670c825c4ed91e4918dc4c68b26eb5c5126e833da2ba6b78ccc8daba7f75b82")
 
     def test_veronese_ladder(self):
         # the factors of the benchmark's search workload
@@ -703,7 +817,7 @@ class TestPinnedCertificates:
                    veronese_factor(6, 3, 5), veronese_factor(6, 2, 5),
                    veronese_factor(6, 1), veronese_factor(6, 3)]
         assert certificate_digest(factors) == (
-            "7bcfbc0c5fec732745a67dcd12ec7c391899d6ad1be18916bc0528a3dbe8fc80")
+            "7bfb0a57e51b39ca4f27a0706c171c412bb522f0c8ea92f548c87c32ef7dc5e6")
 
 
 class TestVerifyDecomposition:
@@ -799,4 +913,4 @@ class TestDecompositionLines:
         F = fac("x, y", "x, y")
         d, cert = sdepth(F)
         lines = decomposition_lines(cert, F.join_exponents(), ("x", "y"))
-        assert lines == ["x * K[x]", "y * K[x, y]"]
+        assert lines == ["x * K[x]", "y * K[y]", "x*y * K[x, y]"]
