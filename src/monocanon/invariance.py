@@ -3,14 +3,15 @@
 Canonicalization and shifting are supposed to leave both invariants alone;
 this module takes depth and sdepth on the original, canonical, and shifted
 forms, once per distinct pair of generator tuples, and compares.  Depth
-comes from one Koszul scan per distinct rank coding: the scan reads a form
-only through its own rank coding, which all forms of one factor share, so
-one scan usually serves them all, while each form's box cap is still
-checked.  Sdepth comes from one partition search per distinct rank
-coding, which is one per distinct canonical form.  Every other form gets
-its sdepth from two checks on that form itself: the canonical certificate,
-lifted to it, must verify, and the next level must be refuted on its own
-element set, or by a search of its own poset when that does not settle it.
+comes from one Koszul scan per distinct rank coding, kept in a memo of
+check_forms: the scan reads a form only through its own rank coding, which
+all forms of one factor share, so one scan usually serves them all, while
+each form's box cap is still checked.  Sdepth comes from one partition
+search per distinct rank coding, in the same memo, which is one search per
+distinct canonical form.  Every other form gets its sdepth from two checks
+on that form itself: the canonical certificate, lifted to it, must verify,
+and the next level must be refuted on its own element set, or by a search
+of its own poset when that does not settle it.
 Resource limits turn a comparison into SKIPPED (never PASS), and a
 certificate that fails verification is itself a failure.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .canonical import canonicalize, is_canonical, lift, shift_transform
 from .ideals import MAX_EXPONENT, Factor
 from .koszul import FieldChoice, Rationals, _coding_key, _rank_coding, depth
-from .limits import DEFAULT_BOX_CAP, ResourceError
+from .limits import DEFAULT_BOX_CAP, ResourceError, box_volume, check_deadline
 from .sdepth import (DEFAULT_NODE_BUDGET, _element_set, char_poset,
                      exists_partition, root_refutation, sdepth,
                      verify_decomposition)
@@ -76,34 +77,32 @@ def check_forms(label: str, forms: dict[str, Factor],
     """Compute depth and sdepth on every form, and compare.  A form whose
     generators equal an earlier form's copies that form's values.
 
-    Depth passes one memo of scans to koszul.depth, so a scan runs once per
-    distinct rank coding: a form whose own coding was already scanned takes
-    that depth after its own box cap and deadline checks.  The memo is
-    keyed by each form's own coding, never by its canonical form, so a
-    canonical form that is wrong still shows up as a depth that differs.
+    One memo, keyed by each form's own rank coding, holds the depth, the
+    searched form, its sdepth and its certificate, so koszul.depth and the
+    partition search run once per distinct coding.  A form whose coding is
+    already there takes that depth after its own box cap and deadline
+    checks.  The key is never the canonical form, so a canonical form that
+    is wrong still shows up as a depth that differs.
 
-    The partition search runs once per distinct rank coding too, keyed the
-    same way without the characteristic: two forms share a coding iff they
-    share a canonical form.  It searches the form with that coding that
-    is_canonical, or failing that canonicalize(G).  Its certificate at
-    level s, lifted to each other form G (canonical.lift), must verify on
-    G, so sdepth(G) >= s.  Level s + 1 must then be refuted on G itself:
-    s = n, or root_refutation on G's element set (built once for it and the
-    verification), or failing both, exists_partition on G's own poset under
-    the same limits.  If that search finds a partition, sdepth(G) is
-    computed in full and differs from s.
+    Two forms share a coding iff they share a canonical form.  The search
+    runs on the form with that coding that is_canonical, or failing that
+    canonicalize(G).  Its certificate at level s, lifted to each other form
+    G (canonical.lift), must verify on G, so sdepth(G) >= s; a certificate
+    that does not lift fails too.  Level s + 1 must then be refuted on G
+    itself: s = n, or root_refutation on G's element set (built once for it
+    and the verification), or failing both, exists_partition on G's own
+    poset under the same limits.  If that search finds a partition,
+    sdepth(G) is computed in full and differs from s.
     """
     dvals: dict[str, int] = {}
     svals: dict[str, int] = {}
     first: dict[tuple, str] = {}  # generators of I and J -> first form with them
-    for name, G in forms.items():
-        first.setdefault((G.I.gens, G.J.gens), name)
     codes = {}  # rank coding of each form that is first with its generators
-    for name in first.values():
-        gens, _, fields, _ = _rank_coding(forms[name])
-        codes[name] = _coding_key(gens, fields)
-    scans: dict = {}  # rank coding -> depth, filled by koszul.depth
-    searched: dict[tuple, tuple] = {}  # rank coding -> searched form, sdepth, certificate
+    for name, G in forms.items():
+        if first.setdefault((G.I.gens, G.J.gens), name) == name:
+            gens, _, fields, _ = _rank_coding(G)
+            codes[name] = _coding_key(gens, fields)
+    memo = {}  # rank coding -> depth, searched form, sdepth, certificate
     limits = {"box_cap": box_cap, "deadline": deadline}
     try:
         for name, G in forms.items():
@@ -111,19 +110,28 @@ def check_forms(label: str, forms: dict[str, Factor],
             if first[key] != name:
                 dvals[name], svals[name] = dvals[first[key]], svals[first[key]]
                 continue
-            dvals[name] = depth(G, field, scans=scans, **limits)
             code = codes[name]
-            if code not in searched:
+            if code in memo:
+                box_volume(G.join_exponents(), box_cap, "Koszul box")
+                check_deadline(deadline)
+                dvals[name], C, value, cert = memo[code]
+            else:
+                dvals[name] = depth(G, field, **limits)
                 canonical = [forms[m] for m, c in codes.items()
                              if c == code and is_canonical(forms[m])]
                 C = canonical[0] if canonical else canonicalize(G)
-                searched[code] = (C, *sdepth(C, node_budget=node_budget, **limits))
-            C, value, cert = searched[code]
+                value, cert = sdepth(C, node_budget=node_budget, **limits)
+                memo[code] = dvals[name], C, value, cert
             elements = None  # G's element set, when G is not the searched form
             if G is not C:
-                cert = lift(G, cert)
-                elements = _element_set(G, box_cap, deadline)
-            if not verify_decomposition(G, cert, value, elements=elements, **limits):
+                try:
+                    cert = lift(G, cert)
+                except ValueError:  # the certificate leaves G's canonical box
+                    cert = None
+                else:
+                    elements = _element_set(G, box_cap, deadline)
+            if cert is None or not verify_decomposition(G, cert, value,
+                                                        elements=elements, **limits):
                 return CheckRecord(
                     label, FAIL, dvals, svals,
                     reason=f"sdepth certificate of form {name!r} failed verification",

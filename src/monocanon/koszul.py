@@ -373,7 +373,7 @@ def _lcm_lattice(codes, deadline) -> set[int]:
 
 def depth(F: Factor, field: FieldChoice = Rationals(), *,
           box_cap: int = DEFAULT_BOX_CAP, deadline: float | None = None,
-          trace=None, scans: dict | None = None) -> int:
+          trace=None) -> int:
     """depth of I/J: n minus the top nonvanishing Koszul homology index.
 
     Only the lcm lattices of G(I) and G(J) are scanned (see the module
@@ -381,32 +381,14 @@ def depth(F: Factor, field: FieldChoice = Rationals(), *,
     not the size of the exponents.  trace, if given, is called with
     (multidegree, present-subset count, homology dims) for every lattice
     slice with a present subset.  The homology profile is checked to be
-    gap-free before returning.
-
-    scans, if given, is a memo of scans for a batch of factors: it maps F's
-    own rank coding (the codes of G(I) and G(J) as sets, and the axis
-    fields) and the field's characteristic to the depth.  The scan reads F
-    only through that coding, so a factor whose coding is already there
-    takes its depth without a scan, and without calling trace.  The box cap
-    and the deadline are still checked on F first.  A memo is meant to live
-    for one call of invariance.check_forms, never longer.
+    gap-free before returning.  F is read only through its rank coding, so
+    factors that share it share the depth; invariance.check_forms keeps the
+    memo that reuses it.
     """
     box_volume(F.join_exponents(), box_cap, "Koszul box")
     gens, _, fields, decode = _rank_coding(F)
-    if scans is None:
-        return _scan(F.n, gens, fields, decode, field, deadline, trace)
-    check_deadline(deadline)
-    key = (field.p, *_coding_key(gens, fields))
-    if key not in scans:
-        scans[key] = _scan(F.n, gens, fields, decode, field, deadline, trace)
-    return scans[key]
-
-
-def _scan(n: int, gens, fields, decode, field: FieldChoice,
-          deadline: float | None, trace) -> int:
-    """depth from one scan of the lcm lattice points of a rank coding (see
-    depth; gens, fields and decode as _rank_coding returns them)."""
     points = sorted(_lcm_lattice(gens[0], deadline) | _lcm_lattice(gens[1], deadline))
+    n = F.n
     cache: dict[int, tuple[int, ...]] = {}
     nz: set[int] = set()  # indices i with H_i nonzero in some slice
     for count, c in enumerate(points):

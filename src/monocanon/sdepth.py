@@ -127,11 +127,12 @@ class CharacteristicPoset:
     in {a_j, g_j}.
 
     coords lists the elements in lex order, which is the order of their cell
-    indices (see _element_set).  Row r is [coords[row_bottom[r]], b], b the
-    cell row_top[r]; rows are numbered in lex order of their bottoms, an
-    element's own in the order char_poset grows them.  Byte r of row_rho_nz
-    is rho(b) less zero_axes, the count of axes with g_j = 0: those are on
-    the bound in every row, and a box that can be built has under 256 more.
+    indices (see _element_set).  Row r is [a, b], b the cell row_top[r] and
+    a the lowest element of row_mask[r] (lex order extends the componentwise
+    order); rows are numbered in lex order of their bottoms, an element's own
+    in the order char_poset grows them.  Byte r of row_rho_nz is rho(b) less
+    zero_axes, the count of axes with g_j = 0: those are on the bound in
+    every row, and a box that can be built has under 256 more.
     row_mask[r] has bit e for each element e (numbered as in coords) that
     the row covers, and rows_with[e] has bit r for each row that covers
     element e.  reach is the largest d for which every element is the bottom
@@ -146,7 +147,6 @@ class CharacteristicPoset:
     volume: int
     coords: tuple[Monomial, ...]
     elem_mask: int
-    row_bottom: list[int]
     row_top: list[int]
     row_rho_nz: bytes
     zero_axes: int
@@ -273,19 +273,17 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
     # A row [a, b] with a_j < e_j covers e iff it covers e - e_j and b_j = g_j,
     # so rows_with[e] is e's own rows plus, for each j, the rows of e - e_j
     # that are raised on axis j.
-    rows_with, bottom = [], []
+    rows_with = []
     for e in range(size):
         if not e % 64:
             check_deadline(deadline)
-        bottom += [e] * counts[e]
         w = ((1 << counts[e]) - 1) << first[e]
         for down, on in zip(below, on_bound):
             if (k := down[e]) >= 0:
                 w |= rows_with[k] & on
         rows_with.append(w)
     return CharacteristicPoset(
-        n, g, strides, volume, coords, elem_mask,
-        bottom, flat[::4],
+        n, g, strides, volume, coords, elem_mask, flat[::4],
         bytes(map(int.bit_count, pattern)), zero_axes, flat[1::4], rows_with, reach,
         classes)
 
@@ -499,8 +497,9 @@ def exists_partition(poset: CharacteristicPoset, d: int,
         rows = _race(engines, low.bit_count(), node_budget, d)
         if rows is None:
             return None
-    coords, bottom, top = poset.coords, poset.row_bottom, poset.row_top
-    intervals = [(coords[bottom[r]], _cell_coords(top[r], poset.strides)) for r in rows]
+    coords, mask, top = poset.coords, poset.row_mask, poset.row_top
+    intervals = [(coords[(mask[r] & -mask[r]).bit_length() - 1],
+                  _cell_coords(top[r], poset.strides)) for r in rows]
     single = everything  # the elements that no chosen row covers
     for r in rows:
         single &= ~poset.row_mask[r]

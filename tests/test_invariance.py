@@ -2,10 +2,12 @@
 
 import importlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from helpers import fac
+from monocanon import invariance
 from monocanon import (
     FAIL,
     PASS,
@@ -46,14 +48,12 @@ class TestDuplicateForms:
         assert forms["shift(v=0,k=5)"].I.gens == F.I.gens
         assert forms["canonical"].I.gens != F.I.gens
         counts = count_calls(monkeypatch, "depth", "sdepth", "verify_decomposition")
-        scans = count_calls(monkeypatch, "_scan", module="monocanon.koszul")
         shared = count_calls(monkeypatch, "_element_set")
         inner = count_calls(monkeypatch, "_element_set", module="monocanon.sdepth")
         rec = check_forms("dup", forms)
         # one search, on the canonical form; the input verifies its lift; the
         # canonical form has the input's rank coding, so one Koszul scan
-        assert counts == {"depth": 2, "sdepth": 1, "verify_decomposition": 2}
-        assert scans == {"_scan": 1}
+        assert counts == {"depth": 1, "sdepth": 1, "verify_decomposition": 2}
         # the input's element set serves its verification and its refutation;
         # the canonical form's poset and verification build their own
         assert shared == {"_element_set": 1}
@@ -69,10 +69,8 @@ class TestDuplicateForms:
         # the lines were printed before repeated forms were skipped; all
         # forms of a factor share one rank coding, so one Koszul scan each
         counts = count_calls(monkeypatch, "depth", "sdepth")
-        scans = count_calls(monkeypatch, "_scan", module="monocanon.koszul")
         assert main(["check", "--random", "2", "3", "10", "5"]) == 0
-        assert counts == {"depth": 25, "sdepth": 10}
-        assert scans == {"_scan": 10}
+        assert counts == {"depth": 10, "sdepth": 10}
         values = [1, 1, 2, 1, 0, 0, 0, 1, 1, 1]
         assert capsys.readouterr().out == "".join(
             f"PASS random[{i}]: depth={v} sdepth={v} on 3 forms\n"
@@ -105,17 +103,17 @@ class TestLiftedCertificates:
         # 1, which is feasible: only the search of (x^3)'s own poset finds it
         F, W = fac("x", "x^3"), fac("x", "x", "x^2")
         monkeypatch.setattr("monocanon.invariance.canonicalize", lambda G: W)
-        counts = count_calls(monkeypatch, "root_refutation", "exists_partition", "sdepth")
-        scans = count_calls(monkeypatch, "_scan", module="monocanon.koszul")
+        counts = count_calls(monkeypatch, "root_refutation", "exists_partition",
+                             "sdepth", "depth")
         rec = check_forms("wrong", {"input": F, "canonical": W})
         assert rec.status == FAIL
         assert rec.sdepth_values == {"input": 1, "canonical": 0}
         # W is not a presentation of F, so depth differs as well
         assert rec.depth_values == {"input": 1, "canonical": 0}
-        # W for the input, F itself after the fallback, W as a form of its own
-        assert counts == {"root_refutation": 1, "exists_partition": 1, "sdepth": 3}
-        # W's rank coding is not F's, so each form gets its own scan
-        assert scans == {"_scan": 2}
+        # W for the input, F itself after the fallback, W as a form of its
+        # own; W's rank coding is not F's, so each form gets its own scan
+        assert counts == {"root_refutation": 1, "exists_partition": 1, "sdepth": 3,
+                          "depth": 2}
 
     def test_a_form_over_the_koszul_box_cap_is_skipped(self, monkeypatch):
         # (x^3) fits the cap of 4 cells, its shift (x^4) does not; the shift
@@ -125,12 +123,56 @@ class TestLiftedCertificates:
         forms = {"input": F, "canonical": canonicalize(F),
                  "shift(v=0,k=1)": shift_transform(F, 0, 1)}
         assert forms["shift(v=0,k=1)"].I.gens == ((4,),)
-        scans = count_calls(monkeypatch, "_scan", module="monocanon.koszul")
+        counts = count_calls(monkeypatch, "depth")
         rec = check_forms("capped", forms, box_cap=4)
         assert rec.status == SKIPPED
         assert rec.reason == "Koszul box has 5 cells, over the cap of 4"
         assert rec.depth_values == {"input": 1, "canonical": 1}
-        assert scans == {"_scan": 1}
+        assert counts == {"depth": 1}
+
+    def test_a_form_past_the_deadline_is_skipped(self, monkeypatch):
+        # the clock passes the deadline once the canonical form is verified,
+        # so the input, whose rank coding is already in the memo, must still
+        # check the deadline itself
+        from monocanon import limits
+        clock = [0.0]
+        monkeypatch.setattr(limits, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        real = invariance.verify_decomposition
+
+        def verify_then_pass_the_deadline(*args, **kwargs):
+            verified = real(*args, **kwargs)
+            clock[0] = 2.0
+            return verified
+
+        monkeypatch.setattr(invariance, "verify_decomposition", verify_then_pass_the_deadline)
+        counts = count_calls(monkeypatch, "depth")
+        F = fac("x", "x^3")
+        rec = check_forms("late", {"canonical": canonicalize(F), "input": F}, deadline=1.0)
+        assert rec.status == SKIPPED
+        assert rec.reason == "wall-clock deadline exceeded"
+        assert rec.depth_values == rec.sdepth_values == {"canonical": 1}
+        assert counts == {"depth": 1}
+
+    def test_one_rank_coding_per_form_and_per_scan(self, monkeypatch):
+        # three distinct forms with one rank coding: one coding each to key
+        # the memo, and one more inside the single Koszul scan
+        F = fac("x", "x^3")
+        forms = {"input": F, "canonical": canonicalize(F),
+                 "shift(v=0,k=1)": shift_transform(F, 0, 1)}
+        keys = count_calls(monkeypatch, "_rank_coding")
+        scans = count_calls(monkeypatch, "_rank_coding", module="monocanon.koszul")
+        assert check_forms("codings", forms).status == PASS
+        assert keys["_rank_coding"] + scans["_rank_coding"] == 4
+
+    def test_a_certificate_that_does_not_lift_fails(self, monkeypatch):
+        # the canonical box of F is [0, (2, 1)]; (x^3, y^2) has the box
+        # [0, (3, 2)], so its certificate leaves F's and cannot be lifted
+        monkeypatch.setattr("monocanon.invariance.canonicalize",
+                            lambda G: fac("x, y", "x^3, y^2"))
+        rec = check_forms("wrong", {"input": fac("x, y", "x^4, x^3*y^7")})
+        assert rec.status == FAIL
+        assert rec.line() == (
+            "FAIL wrong: sdepth certificate of form 'input' failed verification")
 
     def test_the_fallback_search_alone_gives_the_same_output(self, monkeypatch, capsys):
         # with the element-set refutation switched off, every form that is

@@ -397,24 +397,19 @@ class TestDepth:
         F = _veronese(12, 1)
         assert depth(F, PrimeField(32003), deadline=time.monotonic() + 8.0) == 1
 
-    def test_a_memo_scans_each_coding_once_per_field(self, monkeypatch):
+    def test_rp2_depth_depends_on_the_field(self):
         # K[RP2] on its six-vertex triangulation: Cohen-Macaulay over Q, but
         # not over GF(2), where it has homology in H_1
         non_faces = [S for S in combinations(range(6), 3) if S not in RP2]
         F = Factor(MonomialIdeal(6, [(0,) * 6]),
                    MonomialIdeal(6, [tuple(int(j in S) for j in range(6))
                                      for S in non_faces]))
-        scans = []
-        real = koszul._scan
-        monkeypatch.setattr(koszul, "_scan", lambda *args: scans.append(0) or real(*args))
-        memo = {}
-        assert depth(F, scans=memo) == 3
-        assert depth(F, PrimeField(2), scans=memo) == 2
+        assert depth(F) == 3
+        assert depth(F, PrimeField(2)) == 2
         # a shift of F has other exponents but F's rank coding
-        assert depth(shift_transform(F, 0, 1), PrimeField(2), scans=memo) == 2
-        assert len(scans) == len(memo) == 2
+        assert depth(shift_transform(F, 0, 1), PrimeField(2)) == 2
         with pytest.raises(BoxCapError, match="Koszul box"):
-            depth(F, scans=memo, box_cap=63)
+            depth(F, box_cap=63)
 
     def test_one_profile_per_support_shape(self, monkeypatch):
         # m_8 has 255 lattice points but only 8 support sizes, each with the

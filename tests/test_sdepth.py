@@ -164,11 +164,17 @@ def decode(P, cell: int) -> tuple:
     return tuple(reversed(a))
 
 
+def row_bottoms(P) -> list[int]:
+    """The bottom element of each of P's rows: the lowest bit of its mask,
+    as lex order extends the componentwise order."""
+    return [(m & -m).bit_length() - 1 for m in P.row_mask]
+
+
 def catalogue_rows(P) -> set:
     """P's rows in the form of brute_force_rows, with each top decoded from
     its cell, rho read off row_rho_nz, and the covered cells off row_mask."""
     rows = set()
-    for r, (e, t) in enumerate(zip(P.row_bottom, P.row_top)):
+    for r, (e, t) in enumerate(zip(row_bottoms(P), P.row_top)):
         b = decode(P, t)
         rho_b = P.row_rho_nz[r] + P.zero_axes
         bound = frozenset(j for j in range(P.n) if b[j] == P.g[j])
@@ -181,12 +187,13 @@ def assert_catalogue_matches_definition(F):
     """Rows, their order, rows_with (built from the byte-packed bound
     patterns) and reach against the definition."""
     P = char_poset(F)
+    bottoms = row_bottoms(P)
     assert catalogue_rows(P) == brute_force_rows(F)
-    assert len(set(zip(P.row_bottom, P.row_top))) == len(P.row_top)
+    assert len(set(zip(bottoms, P.row_top))) == len(P.row_top)
     rhos = [x + P.zero_axes for x in P.row_rho_nz]
-    assert P.row_bottom == sorted(P.row_bottom)
+    assert bottoms == sorted(bottoms)
     best = []
-    for e, group in itertools.groupby(range(len(rhos)), P.row_bottom.__getitem__):
+    for e, group in itertools.groupby(range(len(rhos)), bottoms.__getitem__):
         own = list(group)
         assert decode(P, P.row_top[own[0]]) == P.coords[e]
         assert [rhos[r] for r in own] == sorted(rhos[r] for r in own)
@@ -620,9 +627,9 @@ def decide_alone(P, d, truncated, node_budget=DEFAULT_NODE_BUDGET):
         chosen = _race([engine], node_budget, node_budget, d)
         if chosen is None:
             return None
-    intervals = []
+    intervals, bottoms = [], row_bottoms(P)
     for r in chosen:
-        intervals.append((P.coords[P.row_bottom[r]], _cell_coords(P.row_top[r], P.strides)))
+        intervals.append((P.coords[bottoms[r]], _cell_coords(P.row_top[r], P.strides)))
         everything &= ~P.row_mask[r]
     intervals += [(a, a) for e, a in enumerate(P.coords) if everything >> e & 1]
     return IntervalPartition(tuple(intervals))
