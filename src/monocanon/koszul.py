@@ -36,7 +36,16 @@ The present subsets at a come from generator slack sets: x^(a - eps_F) is a
 multiple of a generator m <= a iff F only uses axes j with m_j < a_j.  So the
 subsets with x^(a - eps_F) in I are the union, over generators of I below a,
 of the bitsets of all subsets of their slack sets, minus the same for J.
-The bitsets are grown at every point; a cache of them measured no faster.
+Each generator below a point costs a fixed few int operations, whatever
+|supp(a)| is.  top = c & (~(c >> 1) | tops), tops the top bit of every
+nonzero field, holds c's top bit in each support field, and m <= c is slack
+on axis j iff top & ~m has a bit in field j.  Those bits, gathered at the
+bits of top, the highest into bit 0, are the slack set's index over the
+support axes; the gather runs a byte of top at a time, through one 256-entry
+table per byte pattern.  The subset bitset of the index is then one lookup
+in a table of down-closures over the low 10 support axes, doubled in once
+for each higher slack axis.  Both tables are built on first use and are
+bounded: at most 256 gather tables and one of 1024 down-closures.
 
 Every present subset lies in supp(a), because a slack axis has
 a_j > m_j >= 0.  So each slice is built over its k = |supp(a)| support axes
@@ -326,22 +335,64 @@ def _coding_key(gens, fields) -> tuple:
     return frozenset(gens[0]), frozenset(gens[1]), tuple(fields)
 
 
-def _present_mask(c: int, fields, gens) -> tuple[int, int]:
+@cache
+def _gather(pattern: int) -> bytes:
+    """The gather table of a byte pattern: entry v packs the bits of v at the
+    set bits of pattern, the highest into bit 0."""
+    bits = [1 << b for b in range(7, -1, -1) if pattern >> b & 1]
+    return bytes(sum(1 << t for t, b in enumerate(bits) if v & b) for v in range(256))
+
+
+@cache
+def _down_closures() -> tuple[int, ...]:
+    """Entry S, for S below 2^10, is the mask of all subsets of S: bit R is
+    set iff R | S == S."""
+    down = [1]
+    for t in range(10):
+        down += [d | d << (1 << t) for d in down]
+    return tuple(down)
+
+
+def _present_mask(c: int, tops: int, gens) -> tuple[int, int]:
     """(k, mask) at the multidegree a coded as c: k = |supp(a)|, and bit fm of
     mask is set iff x^(a - eps_S) lies in I minus J, S the t-th support axes
-    over the bits t of fm (see the module docstring)."""
-    axes = [f for f in fields if c & f]
+    over the bits t of fm (see the module docstring).  tops has the top bit of
+    every nonzero field."""
+    top = c & (~(c >> 1) | tops)  # c's top bit in each support field
+    k = top.bit_count()
+    down = _down_closures()
     fam = [0, 0]
+    sh = max(top.bit_length() - 8, 0)
+    if not top & ((1 << sh) - 1):  # one byte holds every top bit
+        gather = _gather(top >> sh)
+        for side, codes in enumerate(gens):
+            for m in codes:
+                if m | c == c:
+                    fam[side] |= down[gather[(top & ~m) >> sh]]
+        return k, fam[0] & ~fam[1]
+    # top in windows of at most 8 bits, the highest first: (shift, gather
+    # table, index of the window's first support axis)
+    windows, t, rest = [], 0, top
+    while rest:
+        sh = max(rest.bit_length() - 8, 0)
+        w = rest >> sh
+        windows.append((sh, _gather(w), t))
+        t += w.bit_count()
+        rest ^= w << sh
     for side, codes in enumerate(gens):
         for m in codes:
             if m | c == c:
-                slack = c ^ m
-                sub = 1
-                for t, f in enumerate(axes):
-                    if slack & f:
-                        sub |= sub << (1 << t)
+                slack = top & ~m  # the top bits m lacks: its slack axes
+                S = 0
+                for sh, gather, t in windows:
+                    S |= gather[slack >> sh & 255] << t
+                sub = down[S & 1023]
+                if S >> 10:  # slack on a support axis past the table
+                    for t in range(10, k):
+                        if S >> t & 1:
+                            sub |= sub << (1 << t)
                 fam[side] |= sub
-    return len(axes), fam[0] & ~fam[1]
+    return k, fam[0] & ~fam[1]
 
 
 def homology_dims(F: Factor, a, field: FieldChoice = Rationals()) -> tuple[int, ...]:
@@ -353,7 +404,7 @@ def homology_dims(F: Factor, a, field: FieldChoice = Rationals()) -> tuple[int, 
     if any(e < 0 for e in a):
         raise ValueError(f"multidegree {a} has a negative entry")
     gens, (c,), fields, _ = _rank_coding(F, a)
-    k, pm = _present_mask(c, fields, gens)
+    k, pm = _present_mask(c, sum(1 << f.bit_length() >> 1 for f in fields), gens)
     return homology_profile(k, pm, field) + (0,) * (n - k)
 
 
@@ -387,6 +438,7 @@ def depth(F: Factor, field: FieldChoice = Rationals(), *,
     """
     box_volume(F.join_exponents(), box_cap, "Koszul box")
     gens, _, fields, decode = _rank_coding(F)
+    tops = sum(1 << f.bit_length() >> 1 for f in fields)
     points = sorted(_lcm_lattice(gens[0], deadline) | _lcm_lattice(gens[1], deadline))
     n = F.n
     cache: dict[int, tuple[int, ...]] = {}
@@ -394,7 +446,7 @@ def depth(F: Factor, field: FieldChoice = Rationals(), *,
     for count, c in enumerate(points):
         if deadline is not None and not (count + 1) % 512:
             check_deadline(deadline)
-        k, pm = _present_mask(c, fields, gens)
+        k, pm = _present_mask(c, tops, gens)
         if pm == 0:
             continue
         prof = cache.get(pm)

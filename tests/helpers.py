@@ -38,10 +38,10 @@ def ideals(draw, nmax: int = 4, emax: int = 9, min_gens: int = 1):
 
 
 @st.composite
-def factors(draw, nmax: int = 3, emax: int = 5):
+def factors(draw, nmax: int = 3, emax: int = 5, nmin: int = 1):
     """Random factors; J is built from multiples of I's generators so that
     containment holds, and a draw landing on J = I falls back to J = 0."""
-    n = draw(st.integers(1, nmax))
+    n = draw(st.integers(nmin, nmax))
     exp = st.integers(0, emax)
     gi = draw(st.lists(st.tuples(*[exp] * n), min_size=1, max_size=4))
     I = MonomialIdeal(n, gi)

@@ -112,6 +112,18 @@ class TestSupport:
         assert not F.support((3, 0))
 
 
+def _membership_mask(F, a):
+    """The present subsets at a over all n axes, straight from membership:
+    bit fm is set iff x^(a - eps_S) lies in I minus J, S the axes of fm."""
+    mask = 0
+    for fm in range(1 << F.n):
+        S = [j for j in range(F.n) if fm >> j & 1]
+        if all(a[j] for j in S) and oracle._in_factor(
+                F, tuple(x - (j in S) for j, x in enumerate(a))):
+            mask |= 1 << fm
+    return mask
+
+
 def _full_boundary(n, i):
     """d_i on the whole Koszul complex in n variables, as {S: column} keyed by
     subset bitmask, each column {face: sign}: d(e_S) = sum_k (-1)^k
@@ -157,15 +169,45 @@ class TestHomologyDims:
     def test_matches_profile_over_all_axes(self, F, data):
         # points off the lcm lattice and with zero coordinates included; the
         # mask is built over all n axes, straight from membership
-        n = F.n
         a = tuple(data.draw(st.integers(0, e + 1)) for e in F.join_exponents())
-        mask = 0
-        for fm in range(1 << n):
-            S = [j for j in range(n) if fm >> j & 1]
-            if all(a[j] for j in S) and oracle._in_factor(
-                    F, tuple(x - (j in S) for j, x in enumerate(a))):
-                mask |= 1 << fm
-        assert homology_dims(F, a) == homology_profile(n, mask)
+        assert homology_dims(F, a) == homology_profile(F.n, _membership_mask(F, a))
+
+    @given(helpers.factors(nmin=4, nmax=4, emax=4), st.data())
+    def test_matches_profile_on_codes_wider_than_a_byte(self, F, data):
+        # up to five ranks on each of four axes: most points' top bits span
+        # two bytes of the rank coding, so the slack gather runs in windows
+        a = tuple(data.draw(st.integers(0, e + 1)) for e in F.join_exponents())
+        assert homology_dims(F, a) == homology_profile(F.n, _membership_mask(F, a))
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_more_than_ten_support_axes(self, n):
+        # at the top point of m_n every proper subset is present: subsets
+        # past the down-closure table's 10 axes are doubled in
+        F = _veronese(n, 1)
+        gens, (c,), fields, _ = _rank_coding(F, (1,) * n)
+        tops = sum(1 << f.bit_length() >> 1 for f in fields)
+        proper = (1 << (1 << n) - 1) - 1  # bits 0 .. 2^n - 2: all but the full set
+        assert koszul._present_mask(c, tops, gens) == (n, proper)
+        assert homology_dims(F, (1,) * n) == (0,) * (n - 1) + (1, 0)
+
+    def test_gather_tables_match_their_definition(self):
+        # entry v packs v's bits at the pattern's set bits, the highest first
+        for pattern in range(256):
+            table = koszul._gather(pattern)
+            assert len(table) == 256
+            for v in range(256):
+                picked = [b for b, p in zip(f"{v:08b}", f"{pattern:08b}") if p == "1"]
+                assert table[v] == int("".join(reversed(picked)) or "0", 2)
+
+    def test_down_closures_match_their_definition(self):
+        down = koszul._down_closures()
+        assert len(down) == 1024
+        for S in range(1024):
+            subsets, R = {S}, S
+            while R:
+                R = (R - 1) & S
+                subsets.add(R)
+            assert down[S] == sum(1 << R for R in subsets)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_boundary_composition_check(self, n):
