@@ -116,9 +116,6 @@ class MonomialIdeal:
     def is_zero(self) -> bool:
         return not self.gens
 
-    def is_unit(self) -> bool:
-        return len(self.gens) == 1 and not any(self.gens[0])
-
     def contains(self, m) -> bool:
         """Membership of x^m: some generator divides it (the length is
         checked once, not per generator as divides would)."""
@@ -181,10 +178,6 @@ class Factor:
     @property
     def n(self) -> int:
         return self.I.n
-
-    def union_gens(self) -> tuple[Monomial, ...]:
-        """Generators of I followed by generators of J."""
-        return self.I.gens + self.J.gens
 
     def join_exponents(self) -> Monomial:
         """Componentwise maximum over all generators of I and J, computed

@@ -11,9 +11,8 @@ is the best achievable minimum over all interval partitions
 char_poset builds one frozen record, never written to after the build: the
 poset together with the rows of its exact cover, for every element a each
 interval [a, b] inside the element set whose top has every b_j in
-{a_j, g_j}.  exists_partition decides one level d.  It refutes d without
-search when some element starts no row that reaches d.  Otherwise it
-solves exact cover problems over the rows.
+{a_j, g_j}.  exists_partition decides one level d: after one root test, the
+Hilbert-series test below, it solves exact cover problems over the rows.
 Elements are numbered in lex order; a row stores the elements it covers as
 a bitmask, and an element stores the rows that contain it as a bitmask.
 A row's top is kept as its cell index and its rho as a byte, and the build
@@ -39,8 +38,9 @@ Hilbert series of I/J (Uliczka, Manuscripta Math. 2010), and on the
 uncovered set of every node from an engine's first dead end on.  No U that
 the rows partition is refuted (see exists_partition).  Each engine is
 complete and the rows lose no partition, so sdepth below is exact.
-root_refutation runs the reach and root Hilbert tests of one level from the
-element mask alone, with no rows built.
+root_refutation runs two root tests of one level from the element mask
+alone, with no rows built: whether some element is the bottom of no row
+with rho >= d, and the root Hilbert test.
 verify_decomposition checks a certificate against the element mask alone;
 its intervals may have any tops, so boxes lifted from the canonical form
 (canonical.lift) are checked the same way.
@@ -135,10 +135,9 @@ class CharacteristicPoset:
     every row, and a box that can be built has under 256 more.
     row_mask[r] has bit e for each element e (numbered as in coords) that
     the row covers, and rows_with[e] has bit r for each row that covers
-    element e.  reach is the largest d for which every element is the bottom
-    of some row with rho >= d.  degree_classes maps (|a|, rho(a)) to the
-    bitmask of the elements a with that degree and rho.  Nothing is written
-    to the record after char_poset returns, so searches may share it.
+    element e.  degree_classes maps (|a|, rho(a)) to the bitmask of the
+    elements a with that degree and rho.  Nothing is written to the record
+    after char_poset returns, so searches may share it.
     """
 
     n: int
@@ -152,11 +151,7 @@ class CharacteristicPoset:
     zero_axes: int
     row_mask: list[int]
     rows_with: list[int]
-    reach: int
     degree_classes: dict[tuple[int, int], int]
-
-    def index_of(self, a) -> int:
-        return sum(e * s for e, s in zip(a, self.strides))
 
     def live_rows(self, d: int) -> int:
         """Bitmask of the rows whose top has rho >= d."""
@@ -265,7 +260,6 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
     pattern = flat[2::4]
     counts = [len(rows) for rows in tops]
     first = [0, *accumulate(counts)]
-    reach = zero_axes + min(map(int.bit_count, [rows[-2] for rows in grown]))
     # on_bound[j] has bit r for each row r with b_j = g_j > 0, read off the
     # patterns one byte lane at a time
     lanes = [bytes([x >> s & 255 for x in pattern]) for s in range(0, n, 8)]
@@ -284,8 +278,7 @@ def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
         rows_with.append(w)
     return CharacteristicPoset(
         n, g, strides, volume, coords, elem_mask, flat[::4],
-        bytes(map(int.bit_count, pattern)), zero_axes, flat[1::4], rows_with, reach,
-        classes)
+        bytes(map(int.bit_count, pattern)), zero_axes, flat[1::4], rows_with, classes)
 
 
 @dataclass(frozen=True)
@@ -431,11 +424,10 @@ def exists_partition(poset: CharacteristicPoset, d: int,
                      deadline: float | None = None) -> IntervalPartition | None:
     """A partition whose interval tops all have rho >= d, or None if none exists.
 
-    The rows are the poset's own, built with it.  A level d above the
-    poset's reach (some element starts no interval with rho >= d) is refuted
-    without search, and so is a level that the Hilbert-series test below
-    refutes on the whole element set.  Otherwise two complete engines of
-    _cover decide the level:
+    The rows are the poset's own, built with it.  A level d that the
+    Hilbert-series test below refutes on the whole element set is refuted
+    without search; this is the only test before the search.  Otherwise two
+    complete engines of _cover decide the level:
 
     - the truncated engine covers the elements with rho <= d by the rows
       whose top has rho == d, and leaves every element with rho > d as a
@@ -479,8 +471,6 @@ def exists_partition(poset: CharacteristicPoset, d: int,
     n = poset.n
     if not 0 <= d <= n:
         raise ValueError(f"interval-top bound d={d} outside 0..{n}")
-    if d > poset.reach:
-        return None
     refutes = _truncated_check(poset.degree_classes, len(poset.coords), d)
     everything = (1 << len(poset.coords)) - 1
     if refutes(everything):
@@ -531,8 +521,11 @@ def root_refutation(F: Factor, d: int, box_cap: int = DEFAULT_BOX_CAP,
                     deadline: float | None = None, *,
                     elements: tuple | None = None) -> str | None:
     """Why level d has no partition of F, from its element set alone with no
-    rows built: "reach" when d > char_poset(F).reach, "hilbert" when the
-    root Hilbert test of exists_partition refutes d, None when neither does.
+    rows built: "reach" when some element is the bottom of no row with
+    rho >= d, "hilbert" when the root Hilbert test of exists_partition
+    refutes d, None when neither does.  Such an element a lies in no row
+    with rho >= d, so no partition covers it: a row [a', b] holding a would
+    hold the row from a to a raised to g on the axes where b_j = g_j.
 
     An element a is the bottom of a row with rho >= d iff raise(a, T), a with
     the axes in T set to g, lies outside J for some d-set T of axes: such a

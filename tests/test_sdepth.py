@@ -9,6 +9,7 @@ import random
 import sys
 import time
 from math import comb
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -63,6 +64,11 @@ def oracle_feasible(F, d) -> bool:
     return oracle.exact_cover_exists(pts, rows)
 
 
+def cell_index(P, a) -> int:
+    """The box cell of the exponent vector a, last coordinate fastest."""
+    return sum(map(mul, a, P.strides))
+
+
 class TestRho:
     def test_top_of_the_box(self):
         assert rho((2, 5, 1), (2, 5, 1)) == 3
@@ -96,16 +102,16 @@ class TestCharPoset:
 
     def test_element_mask_agrees_with_coords(self):
         P = char_poset(fac("x, y", "x^2, x*y"))
-        assert P.elem_mask == sum(1 << P.index_of(a) for a in P.coords)
+        assert P.elem_mask == sum(1 << cell_index(P, a) for a in P.coords)
 
     @given(helpers.factors(nmax=4, emax=3))
     def test_elements_match_box_scan_property(self, F):
         P = char_poset(F)
         box = itertools.product(*(range(e + 1) for e in F.join_exponents()))
         assert set(P.coords) == {a for a in box if F.support(a)}
-        indices = [P.index_of(a) for a in P.coords]
+        indices = [cell_index(P, a) for a in P.coords]
         assert indices == sorted(set(indices))
-        assert P.elem_mask == sum(1 << P.index_of(a) for a in P.coords)
+        assert P.elem_mask == sum(1 << cell_index(P, a) for a in P.coords)
 
     def test_box_cap(self):
         with pytest.raises(BoxCapError, match="cap of 10"):
@@ -113,9 +119,9 @@ class TestCharPoset:
 
     def test_index_is_lexicographic(self):
         P = char_poset(fac("x, y, z", "x*y*z"))
-        assert P.index_of((0, 0, 0)) == 0
-        assert P.index_of((0, 0, 1)) == 1
-        assert P.index_of((1, 1, 1)) == P.volume - 1
+        assert cell_index(P, (0, 0, 0)) == 0
+        assert cell_index(P, (0, 0, 1)) == 1
+        assert cell_index(P, (1, 1, 1)) == P.volume - 1
 
     @given(st.data())
     def test_interval_mask_matches_enumeration(self, data):
@@ -125,7 +131,7 @@ class TestCharPoset:
         a = tuple(data.draw(st.integers(0, e)) for e in g)
         b = tuple(data.draw(st.integers(lo, e)) for lo, e in zip(a, g))
         expected = sum(
-            1 << P.index_of(c)
+            1 << cell_index(P, c)
             for c in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(a, b)))
         )
         assert _block_mask(a, b, P.strides) == expected
@@ -183,12 +189,22 @@ def catalogue_rows(P) -> set:
     return rows
 
 
+def definition_reach(rows) -> int:
+    """The largest d for which every element is the bottom of some row with
+    rho >= d, read off rows as brute_force_rows gives them."""
+    best = {}
+    for a, _, rho_b, _, _ in rows:
+        best[a] = max(best.get(a, 0), rho_b)
+    return min(best.values())
+
+
 def assert_catalogue_matches_definition(F):
     """Rows, their order, rows_with (built from the byte-packed bound
-    patterns) and reach against the definition."""
+    patterns) and the rows live at the reach against the definition."""
     P = char_poset(F)
     bottoms = row_bottoms(P)
-    assert catalogue_rows(P) == brute_force_rows(F)
+    rows = brute_force_rows(F)
+    assert catalogue_rows(P) == rows
     assert len(set(zip(bottoms, P.row_top))) == len(P.row_top)
     rhos = [x + P.zero_axes for x in P.row_rho_nz]
     assert bottoms == sorted(bottoms)
@@ -198,14 +214,15 @@ def assert_catalogue_matches_definition(F):
         assert decode(P, P.row_top[own[0]]) == P.coords[e]
         assert [rhos[r] for r in own] == sorted(rhos[r] for r in own)
         best.append(rhos[own[-1]])
-    assert P.reach == min(best)
+    reach = definition_reach(rows)
+    assert min(best) == reach
     rows_with = [0] * len(P.coords)
     for r, m in enumerate(P.row_mask):
         for e in set_bits(m):
             rows_with[e] |= 1 << r
     assert P.rows_with == rows_with
-    assert [r for r in range(len(rhos)) if P.live_rows(P.reach) >> r & 1] == [
-        r for r, x in enumerate(rhos) if x >= P.reach]
+    assert [r for r in range(len(rhos)) if P.live_rows(reach) >> r & 1] == [
+        r for r, x in enumerate(rhos) if x >= reach]
 
 
 def pad(F, positions, total):
@@ -263,6 +280,11 @@ class TestCatalogue:
         assert exists_partition(P, 299) is None
 
 
+# 7 elements, sdepth 1; at d=2 the elements x*y*z and x^2*y*z are the bottom
+# of no row with rho >= 2, and the root Hilbert test passes the level
+REACH_ONLY = fac("x, y, z", "x*z, x^2*y^2", "x*y^2*z, x*y*z^2")
+
+
 class TestExistsPartition:
     def test_two_variable_maximal_ideal(self):
         P = char_poset(fac("x, y", "x, y"))
@@ -279,6 +301,17 @@ class TestExistsPartition:
         P = char_poset(fac("x, y", "x"))
         with pytest.raises(ValueError):
             exists_partition(P, 3)
+
+    def test_a_level_only_the_reach_refutes_is_searched(self):
+        # no root test settles d=2, and the search refutes it in one node
+        P = char_poset(REACH_ONLY)
+        assert len(P.coords) == 7
+        assert oracle.oracle_sdepth(REACH_ONLY) == 1
+        assert root_refutation(REACH_ONLY, 2) == "reach"
+        assert not root_refutes(P, 2)
+        assert exists_partition(P, 2, node_budget=1) is None
+        with pytest.raises(SearchBudgetError):
+            exists_partition(P, 2, node_budget=0)
 
     def test_node_budget(self):
         P = char_poset(fac("x, y, z", "x, y, z"))
@@ -301,6 +334,7 @@ class TestExistsPartition:
         assert time.monotonic() - start < 2.0
 
     @given(helpers.factors(nmax=3, emax=2))
+    @example(REACH_ONLY)
     def test_every_level_matches_oracle(self, F):
         # the oracle's rows are all intervals with arbitrary tops, so this
         # checks that tops in {a_j, g_j} lose no partition
@@ -418,14 +452,12 @@ class TestHilbertRefutation:
         # each of these took 1.4 s or more of search, and more than 20 s for
         # most, when only the reach refuted levels
         P = squarefree_veronese_poset(n, k)
-        assert d <= P.reach
         assert exists_partition(P, d, node_budget=0) is None
 
     def test_refutes_a_raw_level_without_search(self):
         # proving d=2 infeasible by search took about 10 s on this poset
         P = char_poset(parse_problem(WIDE_1).factor())
         assert len(P.coords) == 7518
-        assert 2 <= P.reach
         assert exists_partition(P, 2, node_budget=0) is None
 
     def test_root_refutes_a_level_the_full_series_passes(self):
@@ -437,7 +469,6 @@ class TestHilbertRefutation:
             J = x2*x3^2*x5, x1^3*x3*x4^2*x5;""").factor()
         assert all(oracle.oracle_hilbert_coefficient(F, 3, k) >= 0 for k in range(18))
         P = char_poset(F)
-        assert 3 <= P.reach
         assert exists_partition(P, 3, node_budget=0) is None
         assert sdepth(F)[0] == 2
         assert oracle.oracle_sdepth(F) == 2
@@ -463,8 +494,9 @@ class TestRootRefutation:
     @example(fac("x, y, z", "y^3*z, y^2*z^3, x^2*y^2*z^2", "y^3*z^2"))  # both
     def test_matches_the_reach_and_the_root_check(self, F):
         P = char_poset(F)
+        reach = definition_reach(brute_force_rows(F))
         for d in range(F.n + 1):
-            expected = ("reach" if d > P.reach
+            expected = ("reach" if d > reach
                         else "hilbert" if root_refutes(P, d) else None)
             assert root_refutation(F, d) == expected
 
@@ -611,7 +643,7 @@ class TestNodeCounts:
 
 def decide_alone(P, d, truncated, node_budget=DEFAULT_NODE_BUDGET):
     """Level d decided by one engine of exists_partition alone, through
-    _cover and _race, from the root with no reach or root Hilbert test: the
+    _cover and _race, from the root with no root Hilbert test: the
     partition it finds, or None.  The truncated engine covers the elements
     with rho <= d by the rows with rho == d and leaves the rest single; the
     full engine covers every element by the rows with rho >= d."""
