@@ -9,26 +9,29 @@ is the best achievable minimum over all interval partitions
 (Herzog-Vladoiu-Zheng, J. Algebra 2009).
 
 char_poset builds one frozen record, never written to after the build: the
-poset together with the rows of its exact cover, for every element a each
-interval [a, b] inside the element set whose top has every b_j in
-{a_j, g_j}.  exists_partition decides one level d: after one root test, the
-Hilbert-series test below, it solves exact cover problems over the rows.
-Elements are numbered in lex order; a row stores the elements it covers as
-a bitmask, and an element stores the rows that contain it as a bitmask.
-A row's top is kept as its cell index and its rho as a byte, and the build
-packs its bound pattern into one byte string per eight axes, so the rows on
-the bound along an axis, or reaching a level, are one bytes.translate of
-such a string.  The rows are grown as runs of plain ints, with no object
-per row for the garbage collector to track.
+element set with what growing rows needs of each element.  The rows of the
+exact cover are, for every element a, each interval [a, b] inside the
+element set whose top has every b_j in {a_j, g_j}.  exists_partition decides
+one level d: after one root test, the Hilbert-series test below, it solves
+exact cover problems over the rows.  Elements are numbered in lex order; a
+row stores the elements it covers as a bitmask, and an element stores the
+rows that contain it as a bitmask.  Rows are grown in bands (_band), the
+rows whose top has rho in a range, numbered within the band: a row's top is
+kept as its cell index, and its bound pattern is packed into one byte string
+per eight axes, so the rows on the bound along an axis are one
+bytes.translate of such a string.  The rows are grown as runs of plain ints,
+with no object per row for the garbage collector to track.
 Each search is Algorithm X on those bitsets (Knuth, Dancing Links, 2000):
 it branches on the uncovered element with the fewest rows still compatible
 with the choices made so far, biggest intervals first; a chosen row drops
 the rows that meet it, the OR of rows_with over its elements.  Two such
 searches, resumable engines of one core (_cover), race under node
 allowances that double every round: the truncated engine covers only the
-elements with rho <= d by the rows with rho == d and leaves the rest as
-single elements, the full engine covers everything by the rows with
-rho >= d.  Neither wins everywhere, and the first to finish settles the
+elements with rho <= d by the band of rows with rho == d and leaves the
+rest as single elements, the full engine covers everything by the band
+with rho >= d.  Each grows its band when it is first run, so a level that
+the truncated engine settles in the first round grows no row with
+rho > d.  Neither wins everywhere, and the first to finish settles the
 level.  One Hilbert-series test refutes a set U of elements when the
 truncated polynomial sum over a in U with rho(a) <= d of
 t^|a| (1-t)^(d - rho(a)) has a negative coefficient.  It runs on the whole
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, combinations, islice
+from itertools import accumulate, chain, combinations, islice, pairwise
 from math import comb
 from operator import eq, le, mul
 
@@ -122,22 +125,20 @@ def _element_set(F: Factor, box_cap: int, deadline: float | None):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class CharacteristicPoset:
-    """Multidegrees of I minus J inside the box [0, g], with the rows of the
-    exact cover: every interval [a, b] inside the element set with each b_j
-    in {a_j, g_j}.
+    """Multidegrees of I minus J inside the box [0, g], with what row
+    growth needs of each element.
 
     coords lists the elements in lex order, which is the order of their cell
-    indices (see _element_set).  Row r is [a, b], b the cell row_top[r] and
-    a the lowest element of row_mask[r] (lex order extends the componentwise
-    order); rows are numbered in lex order of their bottoms, an element's own
-    in the order char_poset grows them.  Byte r of row_rho_nz is rho(b) less
-    zero_axes, the count of axes with g_j = 0: those are on the bound in
-    every row, and a box that can be built has under 256 more.
-    row_mask[r] has bit e for each element e (numbered as in coords) that
-    the row covers, and rows_with[e] has bit r for each row that covers
-    element e.  degree_classes maps (|a|, rho(a)) to the bitmask of the
-    elements a with that degree and rho.  Nothing is written to the record
-    after char_poset returns, so searches may share it.
+    indices (see _element_set).  raises[i] is (c, p, axes, ks, shifts) for
+    element a = coords[i]: c its cell, p the bits of the axes j with
+    a_j = g_j > 0, and for each axis j along which a + e_j is an element,
+    in axis order, the bit 1 << j, the number of a + e_j and the shift
+    (g_j - a_j) * strides[j] that raises a top's b_j from a_j to g_j.
+    degree_classes maps (|a|, rho(a)) to the bitmask of the elements a with
+    that degree and rho.  The rows of the exact cover are not kept: each
+    engine of exists_partition grows its own band of them (see _band).
+    Nothing is written to the record after char_poset returns, so searches
+    may share it.
     """
 
     n: int
@@ -146,22 +147,8 @@ class CharacteristicPoset:
     volume: int
     coords: tuple[Monomial, ...]
     elem_mask: int
-    row_top: list[int]
-    row_rho_nz: bytes
-    zero_axes: int
-    row_mask: list[int]
-    rows_with: list[int]
+    raises: list[tuple]
     degree_classes: dict[tuple[int, int], int]
-
-    def live_rows(self, d: int) -> int:
-        """Bitmask of the rows whose top has rho >= d."""
-        return _column(self.row_rho_nz, _AT_LEAST[max(d - self.zero_axes, 0)])
-
-    def level_rows(self, d: int) -> int:
-        """Bitmask of the rows whose top has rho == d."""
-        if d < self.zero_axes:
-            return 0
-        return _column(self.row_rho_nz, _EQUAL[d - self.zero_axes])
 
 
 def _cell_coords(idx: int, strides) -> Monomial:
@@ -174,14 +161,11 @@ def _cell_coords(idx: int, strides) -> Monomial:
 
 def _column(records: bytes, table: bytes) -> int:
     """The int with bit r set iff table maps byte r of records to b"1";
-    _BIT[k] maps a byte to b"1" iff its bit k is set."""
-    return int(records.translate(table)[::-1], 2)
+    _BIT[k] maps a byte to b"1" iff its bit k is set.  No records give 0."""
+    return int(records.translate(table)[::-1] or b"0", 2)
 
 
 _BIT = [(b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8)]
-# _AT_LEAST[t] maps a byte to b"1" iff it is at least t, _EQUAL[t] iff it is t
-_AT_LEAST = [b"0" * t + b"1" * (256 - t) for t in range(256)]
-_EQUAL = [b"0" * t + b"1" + b"0" * (255 - t) for t in range(256)]
 
 
 def _decode(elem_mask: int, g, strides, deadline):
@@ -195,6 +179,38 @@ def _decode(elem_mask: int, g, strides, deadline):
     return cells, tuple(coords)
 
 
+def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
+               deadline: float | None = None) -> CharacteristicPoset:
+    """The characteristic poset of F, coords decoded from the element mask;
+    refuses boxes over box_cap cells and raises TimeLimitError once deadline
+    passes."""
+    g, strides, volume, elem_mask = _element_set(F, box_cap, deadline)
+    cells, coords = _decode(elem_mask, g, strides, deadline)
+    index = dict(zip(cells, range(len(cells))))
+    bit = [1 << j if y else 0 for j, y in enumerate(g)]
+    zero_axes = g.count(0)
+    raises = []
+    classes: dict[tuple[int, int], int] = {}
+    for i, (a, c) in enumerate(zip(coords, cells)):
+        if not i % 64:
+            check_deadline(deadline)
+        axes, ks, shifts = [], [], []
+        p = 0
+        for s, x, y, axis in zip(strides, a, g, bit):
+            if x < y:  # a + e_j is cell c + s
+                if (k := index.get(c + s)) is not None:
+                    axes.append(axis)
+                    ks.append(k)
+                    shifts.append((y - x) * s)
+            else:
+                p |= axis
+        key = (sum(a), p.bit_count() + zero_axes)
+        classes[key] = classes.get(key, 0) | 1 << i
+        raises.append((c, p, axes, ks, shifts))
+    return CharacteristicPoset(len(g), g, strides, volume, coords, elem_mask,
+                               raises, classes)
+
+
 # Restricting tops to b_j in {a_j, g_j} loses no partition.  Take any
 # interval [a, b] of a partition and a coordinate j with a_j <= b_j < g_j.
 # Split [a, b] into the slices with x_j = t for t = a_j, ..., b_j.  Each
@@ -202,83 +218,79 @@ def _decode(elem_mask: int, g, strides, deadline):
 # was off the bound before and stays off it), and it lies inside [a, b], so
 # inside the element set.  Splitting along every such j leaves intervals
 # whose tops have each coordinate either fixed at the bottom or on g.
-def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
-               deadline: float | None = None) -> CharacteristicPoset:
-    """The characteristic poset of F with its rows, coords decoded from the
-    element mask; refuses boxes over box_cap cells and raises TimeLimitError
-    once deadline passes."""
-    g, strides, volume, elem_mask = _element_set(F, box_cap, deadline)
-    n = len(g)
-    cells, coords = _decode(elem_mask, g, strides, deadline)
-    size = len(cells)
-    index = dict(zip(cells, range(size)))
-    below = [[-1] * size for _ in g]  # below[j][e]: e - e_j
-    bit = [1 << j if y else 0 for j, y in enumerate(g)]  # of bound patterns
-    zero_axes = g.count(0)
+def _band(poset: CharacteristicPoset, lo: int, hi: int, deadline):
+    """The rows whose top has lo <= rho <= hi, as (tops, masks, rows_with).
+
+    A row is an interval [a, b] inside the element set with every b_j in
+    {a_j, g_j}.  Row r has its top b as the cell tops[r] and covers the
+    elements of masks[r], its bottom a being the lowest (lex order extends
+    the componentwise order); rows_with[e] has bit r for each row r that
+    covers element e.  Rows are numbered by bottom, an element's own in the
+    order they are grown, so every band numbers its rows in the order the
+    band (0, n) of all rows gives them.  Only rows with rho <= hi are grown,
+    and a passed deadline raises TimeLimitError.
+    """
+    zero_axes = poset.g.count(0)
+    # a row's rho is zero_axes plus k, its count of axes with b_j = g_j > 0
+    least, cap = max(lo - zero_axes, 0), hi - zero_axes
+    size = len(poset.coords)
     # [a, b'] with b'_j = g_j > a_j = b_j is [a, b] plus [a + e_j, b'], a row
-    # of a lex-later element with the same top cell, so rows are built from
+    # of a lex-later element with the same top cell, so rows are grown from
     # the last element down, each only from a smaller row that fits
-    # (Apriori), breadth first.  tops[i] maps the top cells of element i's
-    # rows to their masks; grown[i] lists the rows flat, four ints a row:
-    # top cell, mask, pattern {j : b_j = g_j > 0}, first entry of axes left
-    # to raise.
+    # (Apriori).  Breadth first, so an element's rows come with k never
+    # falling: those below the band are a prefix, and only a single element
+    # can lie above it, as no row with k >= cap is raised.  tops[i] maps the
+    # top cells of element i's rows to their masks; grown[i] lists its rows
+    # in the band flat, four ints a row: top cell, mask, pattern
+    # {j : b_j = g_j > 0}, first entry of axes left to raise.
     tops: list[dict] = [None] * size
     grown: list[list] = [None] * size
-    classes: dict[tuple[int, int], int] = {}
     for i in range(size - 1, -1, -1):
         if not i % 64:
             check_deadline(deadline)
-        a = coords[i]
-        c = cells[i]  # a + e_j is cell c + strides[j] while a_j < g_j
-        axes, aboves, shifts = [], [], []  # pattern bit, rows of a + e_j, top shift
-        p = 0
-        for s, x, y, axis, down in zip(strides, a, g, bit, below):
-            if x < y:
-                if (k := index.get(c + s)) is not None:
-                    down[k] = i
-                    axes.append(axis)
-                    aboves.append(tops[k])
-                    shifts.append((y - x) * s)
-            else:
-                p |= axis
+        c, p, axes, ks, shifts = poset.raises[i]
         m = 1 << i
-        key = (sum(a), p.bit_count() + zero_axes)
-        classes[key] = classes.get(key, 0) | m
         tops[i] = rows = {c: m}
-        grown[i] = grow = [c, m, p, 0]
+        grow = [c, m, p, 0]
+        aboves = [*map(tops.__getitem__, ks)]
+        below = 0  # entries of grow below the band
         it = iter(grow)
         for t, m, p, start in zip(it, it, it, it):
+            k = p.bit_count()
+            if k < least:
+                below += 4
+            elif k >= cap:
+                if k > cap:
+                    below = 4
+                break
             for q in range(start, len(axes)):
                 b = t + shifts[q]
                 above = aboves[q].get(b)
                 if above is not None:
                     rows[b] = above = m | above
                     grow += b, above, p | axes[q], q + 1
+        grown[i] = grow[below:] if below else grow
 
     check_deadline(deadline)
     flat = [*chain.from_iterable(grown)]
     pattern = flat[2::4]
-    counts = [len(rows) for rows in tops]
-    first = [0, *accumulate(counts)]
+    first = [0, *accumulate(map(len, grown))]  # four entries a row
     # on_bound[j] has bit r for each row r with b_j = g_j > 0, read off the
     # patterns one byte lane at a time
-    lanes = [bytes([x >> s & 255 for x in pattern]) for s in range(0, n, 8)]
-    on_bound = [_column(lanes[j >> 3], _BIT[j & 7]) for j in range(n)]
+    lanes = [bytes([x >> s & 255 for x in pattern]) for s in range(0, poset.n, 8)]
+    on_bound = {1 << j: _column(lanes[j >> 3], _BIT[j & 7]) for j in range(poset.n)}
     # A row [a, b] with a_j < e_j covers e iff it covers e - e_j and b_j = g_j,
     # so rows_with[e] is e's own rows plus, for each j, the rows of e - e_j
-    # that are raised on axis j.
-    rows_with = []
-    for e in range(size):
+    # that are raised on axis j.  Each element passes its rows up once its
+    # own set is whole: lex order puts every e - e_j before e.
+    rows_with = [(1 << (y >> 2)) - (1 << (x >> 2)) for x, y in pairwise(first)]
+    for e, (_, _, axes, ks, _) in enumerate(poset.raises):
         if not e % 64:
             check_deadline(deadline)
-        w = ((1 << counts[e]) - 1) << first[e]
-        for down, on in zip(below, on_bound):
-            if (k := down[e]) >= 0:
-                w |= rows_with[k] & on
-        rows_with.append(w)
-    return CharacteristicPoset(
-        n, g, strides, volume, coords, elem_mask, flat[::4],
-        bytes(map(int.bit_count, pattern)), zero_axes, flat[1::4], rows_with, classes)
+        w = rows_with[e]
+        for axis, k in zip(axes, ks):
+            rows_with[k] |= w & on_bound[axis]
+    return flat[::4], flat[1::4], rows_with
 
 
 @dataclass(frozen=True)
@@ -368,21 +380,26 @@ def _candidates(uncovered: int, live: int, rows_with, row_mask, deadline) -> lis
     return rows
 
 
-def _cover(poset: CharacteristicPoset, uncovered: int, live: int, refutes, deadline):
+def _cover(poset: CharacteristicPoset, uncovered: int, lo: int, hi: int, refutes,
+           deadline):
     """One engine of exists_partition: a depth-first exact cover of the
-    elements in uncovered by the rows in live, run in rounds.
+    elements in uncovered by the rows whose top has lo <= rho <= hi, run in
+    rounds.
 
     A generator, primed with next().  Each value sent to it is the number of
     nodes it may have made in all, and it yields when the next node would
-    pass that, keeping its stack for the next round.  It returns the chosen
-    rows, or None once it has searched everything.  It branches on the
-    uncovered element with the fewest live rows, biggest rows first; a node
-    is one candidate row applied.  refutes (see _truncated_check) runs on
-    the uncovered set of every node from the engine's first dead end on
-    (the first frame that runs out of candidates).
+    pass that, keeping its stack for the next round.  The first value sent
+    grows the engine's band of rows (_band), so an engine that is never sent
+    one grows none.  It returns the chosen rows as (mask, top cell) pairs,
+    or None once it has searched everything.  It branches on the uncovered
+    element with the fewest live rows, biggest rows first; a node is one
+    candidate row applied.  refutes (see _truncated_check) runs on the
+    uncovered set of every node from the engine's first dead end on (the
+    first frame that runs out of candidates).
     """
-    rows_with, row_mask = poset.rows_with, poset.row_mask
     allowance = yield
+    row_top, row_mask, rows_with = _band(poset, lo, hi, deadline)
+    live = (1 << len(row_mask)) - 1
     # a frame is [uncovered, live, candidates, next candidate]; the rows
     # chosen so far are the frames' last tried candidates
     stack = [[uncovered, live,
@@ -407,7 +424,8 @@ def _cover(poset: CharacteristicPoset, uncovered: int, live: int, refutes, deadl
         if gated and refutes(remaining):
             continue
         if remaining == 0:
-            return [f[2][f[3] - 1] for f in stack]
+            return [(row_mask[r], row_top[r])
+                    for r in (f[2][f[3] - 1] for f in stack)]
         meets = 0  # the rows that share an element with row r
         for k, e in enumerate(_bits(row_mask[r])):
             if not k % 256:
@@ -424,16 +442,17 @@ def exists_partition(poset: CharacteristicPoset, d: int,
                      deadline: float | None = None) -> IntervalPartition | None:
     """A partition whose interval tops all have rho >= d, or None if none exists.
 
-    The rows are the poset's own, built with it.  A level d that the
-    Hilbert-series test below refutes on the whole element set is refuted
-    without search; this is the only test before the search.  Otherwise two
-    complete engines of _cover decide the level:
+    A level d that the Hilbert-series test below refutes on the whole
+    element set is refuted without search; this is the only test before
+    the search.  Otherwise two complete engines of _cover decide the level:
 
     - the truncated engine covers the elements with rho <= d by the rows
       whose top has rho == d, and leaves every element with rho > d as a
       singleton interval;
     - the full engine covers every element by the rows with rho >= d.
 
+    Each grows its band of rows when it is first run, so the full engine's
+    rows are grown only on levels that the first round does not settle.
     They run in rounds, the truncated engine first in each.  In the first
     round each engine may make as many nodes as the truncated engine has
     elements to cover; the allowance doubles every round, and each engine
@@ -448,7 +467,7 @@ def exists_partition(poset: CharacteristicPoset, d: int,
     with rho == d partition the elements with rho <= d.  Split each interval
     of a partition along its raised axes until every piece has a top with
     rho exactly d or is a single element with rho > d (the splitting
-    argument above char_poset).  rho does not fall from the top of an
+    argument above _band).  rho does not fall from the top of an
     interval to its elements, so the pieces with rho == d hold exactly the
     elements with rho <= d.  Conversely such rows, with singletons for the
     elements with rho > d, make a partition.
@@ -481,18 +500,18 @@ def exists_partition(poset: CharacteristicPoset, d: int,
             low |= m
     rows = []
     if low:
-        engines = [_cover(poset, low, poset.level_rows(d), refutes, deadline)]
+        engines = [_cover(poset, low, d, d, refutes, deadline)]
         if low != everything:
-            engines.append(_cover(poset, everything, poset.live_rows(d), refutes, deadline))
+            engines.append(_cover(poset, everything, d, n, refutes, deadline))
         rows = _race(engines, low.bit_count(), node_budget, d)
         if rows is None:
             return None
-    coords, mask, top = poset.coords, poset.row_mask, poset.row_top
-    intervals = [(coords[(mask[r] & -mask[r]).bit_length() - 1],
-                  _cell_coords(top[r], poset.strides)) for r in rows]
+    coords = poset.coords
+    intervals = [(coords[(m & -m).bit_length() - 1], _cell_coords(t, poset.strides))
+                 for m, t in rows]
     single = everything  # the elements that no chosen row covers
-    for r in rows:
-        single &= ~poset.row_mask[r]
+    for m, _ in rows:
+        single &= ~m
     intervals += [(coords[e], coords[e]) for e in _bits(single)]
     return IntervalPartition(tuple(intervals))
 

@@ -35,8 +35,8 @@ from monocanon import (
     sdepth,
     verify_decomposition,
 )
-from monocanon.sdepth import (DEFAULT_NODE_BUDGET, _block_mask, _cell_coords, _cover,
-                              _race, _truncated_check, root_refutation)
+from monocanon.sdepth import (DEFAULT_NODE_BUDGET, _band, _block_mask, _cell_coords,
+                              _cover, _race, _truncated_check, root_refutation)
 
 
 def oracle_verify(F, intervals, d) -> bool:
@@ -170,22 +170,21 @@ def decode(P, cell: int) -> tuple:
     return tuple(reversed(a))
 
 
-def row_bottoms(P) -> list[int]:
-    """The bottom element of each of P's rows: the lowest bit of its mask,
-    as lex order extends the componentwise order."""
-    return [(m & -m).bit_length() - 1 for m in P.row_mask]
+def row_bottoms(masks) -> list[int]:
+    """The bottom element of each row mask: its lowest bit, as lex order
+    extends the componentwise order."""
+    return [(m & -m).bit_length() - 1 for m in masks]
 
 
-def catalogue_rows(P) -> set:
-    """P's rows in the form of brute_force_rows, with each top decoded from
-    its cell, rho read off row_rho_nz, and the covered cells off row_mask."""
-    rows = set()
-    for r, (e, t) in enumerate(zip(row_bottoms(P), P.row_top)):
+def band_rows(P, tops, masks) -> list:
+    """A band's rows in the form of brute_force_rows, in band order, with
+    each top decoded from its cell and the covered cells off its mask."""
+    rows = []
+    for e, t, m in zip(row_bottoms(masks), tops, masks):
         b = decode(P, t)
-        rho_b = P.row_rho_nz[r] + P.zero_axes
         bound = frozenset(j for j in range(P.n) if b[j] == P.g[j])
-        cells = frozenset(P.coords[k] for k in set_bits(P.row_mask[r]))
-        rows.add((P.coords[e], b, rho_b, bound, cells))
+        cells = frozenset(P.coords[k] for k in set_bits(m))
+        rows.append((P.coords[e], b, len(bound), bound, cells))
     return rows
 
 
@@ -198,31 +197,53 @@ def definition_reach(rows) -> int:
     return min(best.values())
 
 
+def holders(masks) -> dict[int, list[int]]:
+    """For each element, the rows whose mask holds it, lowest first."""
+    held: dict[int, list[int]] = {}
+    for r, m in enumerate(masks):
+        for e in set_bits(m):
+            held.setdefault(e, []).append(r)
+    return held
+
+
 def assert_catalogue_matches_definition(F):
-    """Rows, their order, rows_with (built from the byte-packed bound
-    patterns) and the rows live at the reach against the definition."""
+    """The band (0, n) of every row against the definition: its rows, their
+    order and rows_with (built from the byte-packed bound patterns).  Then
+    every band (lo, hi): the rows of (0, n) with lo <= rho <= hi, in the same
+    order, which are the definition's rows at those levels, with rows_with
+    holding bit i of e exactly for the band's row i that covers e; among them
+    the rows live at the reach, the band (reach, n)."""
     P = char_poset(F)
-    bottoms = row_bottoms(P)
     rows = brute_force_rows(F)
-    assert catalogue_rows(P) == rows
-    assert len(set(zip(bottoms, P.row_top))) == len(P.row_top)
-    rhos = [x + P.zero_axes for x in P.row_rho_nz]
+    tops, masks, rows_with = _band(P, 0, P.n, None)
+    catalogue = band_rows(P, tops, masks)
+    assert set(catalogue) == rows
+    bottoms = row_bottoms(masks)
+    assert len(set(zip(bottoms, tops))) == len(tops)
+    rhos = [r[2] for r in catalogue]
     assert bottoms == sorted(bottoms)
     best = []
     for e, group in itertools.groupby(range(len(rhos)), bottoms.__getitem__):
         own = list(group)
-        assert decode(P, P.row_top[own[0]]) == P.coords[e]
+        assert decode(P, tops[own[0]]) == P.coords[e]
         assert [rhos[r] for r in own] == sorted(rhos[r] for r in own)
         best.append(rhos[own[-1]])
     reach = definition_reach(rows)
     assert min(best) == reach
-    rows_with = [0] * len(P.coords)
-    for r, m in enumerate(P.row_mask):
-        for e in set_bits(m):
-            rows_with[e] |= 1 << r
-    assert P.rows_with == rows_with
-    assert [r for r in range(len(rhos)) if P.live_rows(reach) >> r & 1] == [
-        r for r, x in enumerate(rhos) if x >= reach]
+    held = holders(masks)
+    assert rows_with == [sum(1 << r for r in held.get(e, ())) for e in range(len(P.coords))]
+    # past the levels the rows reach, every band is one of these or empty
+    levels = sorted({0, P.n} | {x + k for x in rhos for k in (-1, 0, 1) if 0 <= x + k <= P.n})
+    for lo, hi in itertools.combinations_with_replacement(levels, 2):
+        band_tops, band_masks, band_with = _band(P, lo, hi, None)
+        inside = [r for r, x in enumerate(rhos) if lo <= x <= hi]
+        assert band_tops == [tops[r] for r in inside]
+        assert band_masks == [masks[r] for r in inside]
+        assert {catalogue[r] for r in inside} == {row for row in rows if lo <= row[2] <= hi}
+        number = {r: i for i, r in enumerate(inside)}
+        assert band_with == [sum(1 << number[r] for r in held.get(e, ()) if r in number)
+                             for e in range(len(P.coords))]
+    assert _band(P, reach, P.n, None)[1] == [m for m, x in zip(masks, rhos) if x >= reach]
 
 
 def pad(F, positions, total):
@@ -575,7 +596,8 @@ class TestNodeCheck:
         P = char_poset(F)
         refutes = level_check(P, d)
         full = (1 << len(P.coords)) - 1
-        live = set_bits(P.live_rows(d))
+        _, masks, _ = _band(P, d, P.n, None)
+        live = list(range(len(masks)))
         rng = random.Random(n * 100 + k)
         intervals = level_intervals(frozenset(P.coords), P.g, d)
         memo: dict = {}
@@ -583,9 +605,9 @@ class TestNodeCheck:
         for _ in range(150):
             uncovered = full
             for r in rng.sample(live, len(live)):
-                if P.row_mask[r] & ~uncovered or rng.random() < 0.1:
+                if masks[r] & ~uncovered or rng.random() < 0.1:
                     continue
-                uncovered &= ~P.row_mask[r]
+                uncovered &= ~masks[r]
                 points = frozenset(a for i, a in enumerate(P.coords) if uncovered >> i & 1)
                 negative = truncated_negative(points, P.g, d)
                 assert refutes(uncovered) == negative
@@ -645,24 +667,24 @@ def decide_alone(P, d, truncated, node_budget=DEFAULT_NODE_BUDGET):
     """Level d decided by one engine of exists_partition alone, through
     _cover and _race, from the root with no root Hilbert test: the
     partition it finds, or None.  The truncated engine covers the elements
-    with rho <= d by the rows with rho == d and leaves the rest single; the
-    full engine covers every element by the rows with rho >= d."""
+    with rho <= d by the band of rows with rho == d and leaves the rest
+    single; the full engine covers every element by the band with rho >= d."""
     everything = (1 << len(P.coords)) - 1
     if truncated:
         universe = sum(1 << e for e, a in enumerate(P.coords) if rho(a, P.g) <= d)
-        rows = P.level_rows(d)
+        hi = d
     else:
-        universe, rows = everything, P.live_rows(d)
+        universe, hi = everything, P.n
     chosen = []
     if universe:
-        engine = _cover(P, universe, rows, level_check(P, d), None)
+        engine = _cover(P, universe, d, hi, level_check(P, d), None)
         chosen = _race([engine], node_budget, node_budget, d)
         if chosen is None:
             return None
-    intervals, bottoms = [], row_bottoms(P)
-    for r in chosen:
-        intervals.append((P.coords[bottoms[r]], _cell_coords(P.row_top[r], P.strides)))
-        everything &= ~P.row_mask[r]
+    intervals = []
+    for e, (m, t) in zip(row_bottoms([m for m, _ in chosen]), chosen):
+        intervals.append((P.coords[e], _cell_coords(t, P.strides)))
+        everything &= ~m
     intervals += [(a, a) for e, a in enumerate(P.coords) if everything >> e & 1]
     return IntervalPartition(tuple(intervals))
 
@@ -750,6 +772,53 @@ class TestPortfolio:
         part = exists_partition(char_poset(F), 4, deadline=time.monotonic() + 5.0)
         assert part is not None
         assert verify_decomposition(F, part, 4)
+
+
+class TestBands:
+    """Each engine grows its band of rows when the race first sends to it."""
+
+    @staticmethod
+    def grown_bands(monkeypatch) -> list:
+        """The (lo, hi) of every band grown from here on, in order."""
+        module = sys.modules["monocanon.sdepth"]
+        band, grown = module._band, []
+
+        def counted(poset, lo, hi, deadline):
+            grown.append((lo, hi))
+            return band(poset, lo, hi, deadline)
+
+        monkeypatch.setattr(module, "_band", counted)
+        return grown
+
+    def test_round_one_grows_the_truncated_band_alone(self, monkeypatch):
+        # d = 6, 5, 4 are refuted at the root, and the truncated engine
+        # settles d=3 in round one, so no row with rho > 3 is grown
+        grown = self.grown_bands(monkeypatch)
+        assert sdepth(veronese_factor(6, 1))[0] == 3
+        assert grown == [(3, 3)]
+
+    def test_the_full_band_is_grown_once(self, monkeypatch):
+        # the full engine settles m_9 at d=5 in round two, from the band it
+        # grew in round one
+        P = squarefree_veronese_poset(9, 1)
+        grown = self.grown_bands(monkeypatch)
+        assert exists_partition(P, 5) is not None
+        assert grown == [(5, 5), (5, 9)]
+
+    def test_a_level_refuted_at_the_root_grows_no_band(self, monkeypatch):
+        P = squarefree_veronese_poset(6, 1)
+        grown = self.grown_bands(monkeypatch)
+        assert exists_partition(P, 4) is None
+        assert grown == []
+
+    def test_an_empty_band(self):
+        # x (rho 0) starts no row with rho 1: x^2 and x*y lie in J
+        F = fac("x, y", "x", "x^2, x*y")
+        P = char_poset(F)
+        assert _band(P, 1, 1, None) == ([], [], [0])
+        assert not oracle_feasible(F, 1)
+        for truncated in (True, False):
+            assert decide_alone(P, 1, truncated) is None
 
 
 class TestSdepth:
