@@ -10,8 +10,10 @@ each form's box cap is still checked.  Sdepth comes from one partition
 search per distinct rank coding, in the same memo, which is one search per
 distinct canonical form.  Every other form gets its sdepth from two checks
 on that form itself: the canonical certificate, lifted to it, must verify,
-and the next level must be refuted on its own element set, or by a search
-of its own poset when that does not settle it.
+and the next level must be refuted on it, by the rowless reach test or else
+by exists_partition on its own poset, whose root Hilbert test settles most
+such levels before any row is grown.  The form's element set is built once
+for all three.
 Resource limits turn a comparison into SKIPPED (never PASS), and a
 certificate that fails verification is itself a failure.
 """
@@ -89,10 +91,11 @@ def check_forms(label: str, forms: dict[str, Factor],
     canonicalize(G).  Its certificate at level s, lifted to each other form
     G (canonical.lift), must verify on G, so sdepth(G) >= s; a certificate
     that does not lift fails too.  Level s + 1 must then be refuted on G
-    itself: s = n, or root_refutation on G's element set (built once for it
-    and the verification), or failing both, exists_partition on G's own
-    poset under the same limits.  If that search finds a partition,
-    sdepth(G) is computed in full and differs from s.
+    itself: s = n, or root_refutation's reach test, or failing both,
+    exists_partition on G's own poset under the same limits, which runs the
+    root Hilbert test before any search.  G's element set is built once for
+    the verification, the reach test and the poset.  If that search finds a
+    partition, sdepth(G) is computed in full and differs from s.
     """
     dvals: dict[str, int] = {}
     svals: dict[str, int] = {}
@@ -138,8 +141,8 @@ def check_forms(label: str, forms: dict[str, Factor],
                 )
             if (elements is not None and value < G.n
                     and root_refutation(G, value + 1, elements=elements, **limits) is None
-                    and exists_partition(char_poset(G, **limits), value + 1,
-                                         node_budget, deadline) is not None):
+                    and exists_partition(char_poset(G, elements=elements, **limits),
+                                         value + 1, node_budget, deadline) is not None):
                 value = sdepth(G, node_budget=node_budget, **limits)[0]
             svals[name] = value
     except ResourceError as exc:

@@ -41,9 +41,10 @@ Hilbert series of I/J (Uliczka, Manuscripta Math. 2010), and on the
 uncovered set of every node from an engine's first dead end on.  No U that
 the rows partition is refuted (see exists_partition).  Each engine is
 complete and the rows lose no partition, so sdepth below is exact.
-root_refutation runs two root tests of one level from the element mask
+root_refutation runs the reach test of one level from the element mask
 alone, with no rows built: whether some element is the bottom of no row
-with rho >= d, and the root Hilbert test.
+with rho >= d.  The root Hilbert test is exists_partition's alone; a caller
+that runs both passes char_poset the element set it built for the first.
 verify_decomposition checks a certificate against the element mask alone;
 its intervals may have any tops, so boxes lifted from the canonical form
 (canonical.lift) are checked the same way.
@@ -151,14 +152,6 @@ class CharacteristicPoset:
     degree_classes: dict[tuple[int, int], int]
 
 
-def _cell_coords(idx: int, strides) -> Monomial:
-    a = []
-    for s in strides:
-        e, idx = divmod(idx, s)
-        a.append(e)
-    return tuple(a)
-
-
 def _column(records: bytes, table: bytes) -> int:
     """The int with bit r set iff table maps byte r of records to b"1";
     _BIT[k] maps a byte to b"1" iff its bit k is set.  No records give 0."""
@@ -180,11 +173,14 @@ def _decode(elem_mask: int, g, strides, deadline):
 
 
 def char_poset(F: Factor, box_cap: int = DEFAULT_BOX_CAP,
-               deadline: float | None = None) -> CharacteristicPoset:
+               deadline: float | None = None, *,
+               elements: tuple | None = None) -> CharacteristicPoset:
     """The characteristic poset of F, coords decoded from the element mask;
     refuses boxes over box_cap cells and raises TimeLimitError once deadline
-    passes."""
-    g, strides, volume, elem_mask = _element_set(F, box_cap, deadline)
+    passes.  elements, if given, is _element_set(F, box_cap, deadline),
+    built once by a caller that also checks F's element set without rows
+    (verify_decomposition, root_refutation)."""
+    g, strides, volume, elem_mask = elements or _element_set(F, box_cap, deadline)
     cells, coords = _decode(elem_mask, g, strides, deadline)
     index = dict(zip(cells, range(len(cells))))
     bit = [1 << j if y else 0 for j, y in enumerate(g)]
@@ -506,9 +502,10 @@ def exists_partition(poset: CharacteristicPoset, d: int,
         rows = _race(engines, low.bit_count(), node_budget, d)
         if rows is None:
             return None
-    coords = poset.coords
-    intervals = [(coords[(m & -m).bit_length() - 1], _cell_coords(t, poset.strides))
-                 for m, t in rows]
+    coords, axes = poset.coords, [*zip(poset.strides, poset.g)]
+    # a row's bottom is its lowest element, and its top cell decodes as in _decode
+    intervals = [(coords[(m & -m).bit_length() - 1],
+                  tuple(t // s % (y + 1) for s, y in axes)) for m, t in rows]
     single = everything  # the elements that no chosen row covers
     for m, _ in rows:
         single &= ~m
@@ -539,12 +536,12 @@ def _race(engines, allowance: int, node_budget: int, d: int):
 def root_refutation(F: Factor, d: int, box_cap: int = DEFAULT_BOX_CAP,
                     deadline: float | None = None, *,
                     elements: tuple | None = None) -> str | None:
-    """Why level d has no partition of F, from its element set alone with no
-    rows built: "reach" when some element is the bottom of no row with
-    rho >= d, "hilbert" when the root Hilbert test of exists_partition
-    refutes d, None when neither does.  Such an element a lies in no row
-    with rho >= d, so no partition covers it: a row [a', b] holding a would
-    hold the row from a to a raised to g on the axes where b_j = g_j.
+    """"reach" when some element of F is the bottom of no row with rho >= d,
+    else None, read off F's element set with no rows built.  Such an
+    element a lies in no row with rho >= d, so level d has no partition: a
+    row [a', b] holding a would hold the row from a to a raised to g on the
+    axes where b_j = g_j.  None settles nothing; exists_partition then runs
+    the root Hilbert test and the search.
 
     An element a is the bottom of a row with rho >= d iff raise(a, T), a with
     the axes in T set to g, lies outside J for some d-set T of axes: such a
@@ -553,8 +550,7 @@ def root_refutation(F: Factor, d: int, box_cap: int = DEFAULT_BOX_CAP,
     the block [m with the axes in T set to 0, g] of some m in G(J), so the
     elements that start no such row are the element mask ANDed, over every
     d-set T, with the OR of those blocks.  elements, if given, is
-    _element_set(F, box_cap, deadline), built once by a caller that also
-    verifies a certificate on F.
+    _element_set(F, box_cap, deadline), as in char_poset.
     """
     g, strides, _, elem_mask = elements or _element_set(F, box_cap, deadline)
     if not 0 <= d <= len(g):
@@ -568,17 +564,8 @@ def root_refutation(F: Factor, d: int, box_cap: int = DEFAULT_BOX_CAP,
                                   g, strides)
         stuck &= blocks
         if not stuck:
-            break
-    if stuck:
-        return "reach"
-    _, coords = _decode(elem_mask, g, strides, deadline)
-    classes: dict[tuple[int, int], int] = {}  # as in char_poset
-    for i, a in enumerate(coords):
-        key = (sum(a), sum(map(eq, a, g)))
-        classes[key] = classes.get(key, 0) | 1 << i
-    if _truncated_check(classes, len(coords), d)((1 << len(coords)) - 1):
-        return "hilbert"
-    return None
+            return None
+    return "reach"
 
 
 def sdepth(F: Factor, *, box_cap: int = DEFAULT_BOX_CAP,
@@ -607,7 +594,7 @@ def verify_decomposition(F: Factor, partition: IntervalPartition, d: int,
     cell outside the element set leaves the union unequal to it.  No
     coordinates are decoded and no rows are built.  A passed deadline,
     checked every 256 intervals, raises TimeLimitError.  elements, if given,
-    is _element_set(F, box_cap, deadline), as in root_refutation."""
+    is _element_set(F, box_cap, deadline), as in char_poset."""
     g, strides, _, elem_mask = elements or _element_set(F, box_cap, deadline)
     n = len(g)
     covered = 0

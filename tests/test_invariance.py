@@ -54,8 +54,9 @@ class TestDuplicateForms:
         # one search, on the canonical form; the input verifies its lift; the
         # canonical form has the input's rank coding, so one Koszul scan
         assert counts == {"depth": 1, "sdepth": 1, "verify_decomposition": 2}
-        # the input's element set serves its verification and its refutation;
-        # the canonical form's poset and verification build their own
+        # the input's element set serves its verification, its reach test and
+        # the poset whose root Hilbert test refutes level 2; the canonical
+        # form's poset and verification build their own
         assert shared == {"_element_set": 1}
         assert inner == {"_element_set": 2}
         assert rec.status == PASS
@@ -99,12 +100,14 @@ class TestLiftedCertificates:
         # (x)/(x^2) has the one element x, like the canonical form (x) of
         # (x^3), but in the box [0, 2] its rho is 0, so its certificate sits
         # at level 0.  It lifts to [x^3, x^3], which verifies on (x^3) at
-        # level 0, and neither the reach nor the Hilbert test refutes level
-        # 1, which is feasible: only the search of (x^3)'s own poset finds it
+        # level 0, and neither the reach test nor exists_partition's root
+        # Hilbert test refutes level 1, which is feasible: only the search of
+        # (x^3)'s own poset finds it
         F, W = fac("x", "x^3"), fac("x", "x", "x^2")
         monkeypatch.setattr("monocanon.invariance.canonicalize", lambda G: W)
         counts = count_calls(monkeypatch, "root_refutation", "exists_partition",
                              "sdepth", "depth")
+        inner = count_calls(monkeypatch, "_element_set", module="monocanon.sdepth")
         rec = check_forms("wrong", {"input": F, "canonical": W})
         assert rec.status == FAIL
         assert rec.sdepth_values == {"input": 1, "canonical": 0}
@@ -114,6 +117,10 @@ class TestLiftedCertificates:
         # own; W's rank coding is not F's, so each form gets its own scan
         assert counts == {"root_refutation": 1, "exists_partition": 1, "sdepth": 3,
                           "depth": 2}
+        # the fallback's poset reuses the input's element set, built once in
+        # check_forms; the three searches' posets and W's verification build
+        # their own
+        assert inner == {"_element_set": 4}
 
     def test_a_form_over_the_koszul_box_cap_is_skipped(self, monkeypatch):
         # (x^3) fits the cap of 4 cells, its shift (x^4) does not; the shift

@@ -35,8 +35,9 @@ from monocanon import (
     sdepth,
     verify_decomposition,
 )
-from monocanon.sdepth import (DEFAULT_NODE_BUDGET, _band, _block_mask, _cell_coords,
-                              _cover, _race, _truncated_check, root_refutation)
+from monocanon.limits import DEFAULT_BOX_CAP
+from monocanon.sdepth import (DEFAULT_NODE_BUDGET, _band, _block_mask, _cover,
+                              _element_set, _race, _truncated_check, root_refutation)
 
 
 def oracle_verify(F, intervals, d) -> bool:
@@ -112,6 +113,14 @@ class TestCharPoset:
         indices = [cell_index(P, a) for a in P.coords]
         assert indices == sorted(set(indices))
         assert P.elem_mask == sum(1 << cell_index(P, a) for a in P.coords)
+
+    @given(helpers.factors_and_shifts())
+    def test_a_given_element_set_builds_the_same_poset(self, F):
+        # the record has no __eq__, so it is compared field by field
+        P = char_poset(F)
+        Q = char_poset(F, elements=_element_set(F, DEFAULT_BOX_CAP, None))
+        for field in dataclasses.fields(P):
+            assert getattr(Q, field.name) == getattr(P, field.name), field.name
 
     def test_box_cap(self):
         with pytest.raises(BoxCapError, match="cap of 10"):
@@ -517,9 +526,17 @@ class TestRootRefutation:
         P = char_poset(F)
         reach = definition_reach(brute_force_rows(F))
         for d in range(F.n + 1):
-            expected = ("reach" if d > reach
-                        else "hilbert" if root_refutes(P, d) else None)
-            assert root_refutation(F, d) == expected
+            assert root_refutation(F, d) == ("reach" if d > reach else None)
+            if d > reach:
+                continue
+            # the root Hilbert test is exists_partition's: with no node to
+            # spend, it refutes exactly the levels that test refutes.  Above
+            # the reach a stuck element can end the search with no node.
+            try:
+                refuted = exists_partition(P, d, node_budget=0) is None
+            except SearchBudgetError:
+                refuted = False
+            assert refuted == root_refutes(P, d)
 
     def test_refutes_no_feasible_level(self):
         rng = random.Random(5)
@@ -683,7 +700,7 @@ def decide_alone(P, d, truncated, node_budget=DEFAULT_NODE_BUDGET):
             return None
     intervals = []
     for e, (m, t) in zip(row_bottoms([m for m, _ in chosen]), chosen):
-        intervals.append((P.coords[e], _cell_coords(t, P.strides)))
+        intervals.append((P.coords[e], decode(P, t)))
         everything &= ~m
     intervals += [(a, a) for e, a in enumerate(P.coords) if everything >> e & 1]
     return IntervalPartition(tuple(intervals))
