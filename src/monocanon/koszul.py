@@ -12,18 +12,23 @@ dropped when the target subset is absent.  Then
 
     depth(M) = n - max{ i : H_i of some slice is nonzero }.
 
-Only the lcm lattices of G(I) and G(J) are scanned: the lcms of nonempty
-subsets of the minimal generators of I, and of J.  Koszul homology is
-Tor^S(K, -).  In each multidegree a, the long exact sequence of
-0 -> J -> I -> I/J -> 0 places Tor_i(I/J)_a between Tor_i(I)_a and
-Tor_{i-1}(J)_a, so Tor_i(I/J)_a can be nonzero only where one of those is.
-The Taylor resolution of a monomial ideal has its free generators in the
-degrees of the lcms of generator subsets, so Tor of I (of J) vanishes off
-the lcm lattice of G(I) (of G(J)); see Gasharov-Peeva-Welker, The
+Koszul homology is Tor^S(K, -).  In each multidegree a, the long exact
+sequence of 0 -> J -> I -> I/J -> 0 places Tor_i(I/J)_a between
+Tor_i(I)_a and Tor_{i-1}(J)_a, so Tor_i(I/J)_a can be nonzero only where
+one of those is.  The Taylor resolution of a monomial ideal has its free
+generators in the degrees of the lcms of generator subsets, so Tor of I (of
+J) vanishes off the lcm lattice of G(I) (of G(J)): the lcms of the nonempty
+subsets of its minimal generators; see Gasharov-Peeva-Welker, The
 lcm-lattice in monomial resolutions, Math. Res. Lett. 1999.  Every lattice
 point lies in the box [0, g] (g the join of all generator exponents), and
-there are at most as many as the cells of the canonical form's box, so the
-scan does not grow with the size of the exponents.
+there are at most as many as the cells of the canonical form's box, so no
+pass below grows with the size of the exponents.
+
+depth has two passes over those slices.  An untraced call whose rank box
+(below) is small enough, and not much larger than the lattice can be, runs
+the box pass, which treats every cell of the box at once; any other call
+runs the lattice scan, one lattice point at a time.  Off the lattices both
+find no homology, so they find the same indices.
 
 One rank coding serves the lcm closure and every test of the scan: the
 exponent e on axis j is coded by its rank r among the exponents of G(I),
@@ -70,6 +75,33 @@ each axis and of the subsets of each size.  If no two critical cells lie in
 adjacent degrees, the Morse differential is zero and H_i is the number of
 critical i-subsets.  Otherwise the slice falls back to ranks, as below.
 
+The box pass runs the same matching on every slice at once, over the rank
+box: cell a has the rank a_j on axis j, from 0 to g_j, the number of bits
+of axis j's field.  Only the axes some generator uses (g_j > 0) count: on
+any other a_j = 0 everywhere, so no present subset holds it.  Cells are
+numbered as in sdepth._element_set, last axis fastest.  The element mask E
+is the up-closure of G(I)'s cells minus that of G(J)'s, each made by
+doubling shifts along one axis at a time.  For each subset T of the axes
+one bitset u[T] marks the cells a with a - eps_T in E: u[T + j] is u[T]
+shifted by stride_j and masked to the cells with a_j >= 1, which drops the
+shifts that wrap.  Matching axis j, in the ascending order of the
+per-slice matching, then clears u[T] & u[T + j] from both, for all T
+without j; this is the matching of every slice, since a slice's support
+axes are ordered as the box's.  crit[i], the OR of the u[T] with |T| = i,
+holds the cells with a critical i-subset.  Cells outside every
+crit[i] & crit[i + 1] give their critical degrees directly; the rest that
+are lattice points (a is the join of the generators of I, or of J, below
+it) go through the per-point slice, its memo and the fallback below.  The
+pass holds 2^k bitsets of the box's volume, k the number of used axes, and
+makes about (k + 1) 2^k operations on them, whatever the generators; the
+lattice scan costs about one test per generator and lattice point, and a
+lattice has fewer points than the box and than 2^|G(I)| + 2^|G(J)|.  So
+depth takes the box pass only while its bitsets hold at most
+_BOX_PASS_BITS bits and its estimated cost is below the lattice's bound;
+past that, and on sparse inputs in many variables, the lattice scan is the
+pass that fits.  The strides and wrap masks of a box shape are built once
+and kept for up to 256 shapes of at most 2^16 cells.
+
 A fallback slice's boundary maps are built once, in one pass over its
 present subsets in increasing mask order, as sparse columns keyed by subset:
 d_i maps S to {S minus j: sign(j, S)}, and a face is present iff it is
@@ -81,7 +113,7 @@ elimination that pivots on a shortest row: over the rationals on integers
 divided by their row content after each update, over a prime field modulo
 p.  The d(d(e)) = 0 check thus covers the fallback slices only.  The final
 homology profile is checked to be gap-free (Koszul homology is rigid), on
-every scan; either check failing raises instead of returning wrong data.
+every call; either check failing raises instead of returning wrong data.
 """
 
 from __future__ import annotations
@@ -89,12 +121,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache, reduce
 from itertools import chain, islice
-from operator import getitem
+from operator import and_, getitem, or_, xor
 
 from .ideals import Factor
 from .limits import DEFAULT_BOX_CAP, box_volume, check_deadline
+from .sdepth import _block_mask
 
 DEFAULT_PRIME = 32003
 
@@ -422,42 +455,164 @@ def _lcm_lattice(codes, deadline) -> set[int]:
     return lattice
 
 
-def depth(F: Factor, field: FieldChoice = Rationals(), *,
-          box_cap: int = DEFAULT_BOX_CAP, deadline: float | None = None,
-          trace=None) -> int:
-    """depth of I/J: n minus the top nonvanishing Koszul homology index.
+def _fold(cache: dict, nz: set, n: int, k: int, pm: int, field) -> tuple[int, ...]:
+    """The profile (H_0 .. H_n) of the slice coded by pm over k support axes,
+    for a pm not yet in cache: subsets of k axes leave H_i = 0 for i > k.  It
+    is stored in cache, and its nonzero indices go into nz, once per pm."""
+    prof = cache[pm] = homology_profile(k, pm, field) + (0,) * (n - k)
+    nz.update(i for i, h in enumerate(prof) if h)
+    return prof
 
-    Only the lcm lattices of G(I) and G(J) are scanned (see the module
-    docstring), so the cost follows the number of distinct generator lcms,
-    not the size of the exponents.  trace, if given, is called with
-    (multidegree, present-subset count, homology dims) for every lattice
-    slice with a present subset.  The homology profile is checked to be
-    gap-free before returning.  F is read only through its rank coding, so
-    factors that share it share the depth; invariance.check_forms keeps the
-    memo that reuses it.
-    """
-    box_volume(F.join_exponents(), box_cap, "Koszul box")
-    gens, _, fields, decode = _rank_coding(F)
+
+def _lattice_scan(gens, fields, decode, n, field, deadline, trace) -> set[int]:
+    """The indices i with H_i nonzero in some slice, from the lcm lattice
+    points of G(I) and G(J) one at a time."""
     tops = sum(1 << f.bit_length() >> 1 for f in fields)
     points = sorted(_lcm_lattice(gens[0], deadline) | _lcm_lattice(gens[1], deadline))
-    n = F.n
     cache: dict[int, tuple[int, ...]] = {}
-    nz: set[int] = set()  # indices i with H_i nonzero in some slice
+    nz: set[int] = set()
     for count, c in enumerate(points):
         if deadline is not None and not (count + 1) % 512:
             check_deadline(deadline)
         k, pm = _present_mask(c, tops, gens)
         if pm == 0:
             continue
-        prof = cache.get(pm)
-        if prof is None:
-            # subsets of k axes leave H_i = 0 for i > k
-            prof = cache[pm] = homology_profile(k, pm, field) + (0,) * (n - k)
+        prof = cache.get(pm) or _fold(cache, nz, n, k, pm, field)
         if trace is not None:
             trace(decode(c), pm.bit_count(), prof)
-        for i, h in enumerate(prof):
-            if h:
-                nz.add(i)
+    return nz
+
+
+# The box pass takes a rank box of volume cells over k used axes only when its
+# 2^k bitsets hold at most this many bits together.
+_BOX_PASS_BITS = 1 << 26
+# Shapes of at most this many cells keep their tables in _box_tables' cache.
+_CACHED_BOX_CELLS = 1 << 16
+
+
+@lru_cache(maxsize=256)
+def _box_tables(g: tuple[int, ...]):
+    """(strides, steps) of the rank box [0, g], every g_j >= 1: cells are
+    numbered as in sdepth._element_set, and steps[j] lists the pairs
+    (q * stride_j, mask of the cells with a_j >= q) for q = 1, 2, 4, ... up
+    to g_j.  A shift by q * stride_j that wraps past g_j lands on a cell with
+    a_j < q, so the mask drops exactly the wrapped bits."""
+    strides = [1] * len(g)
+    for j in range(len(g) - 2, -1, -1):
+        strides[j] = strides[j + 1] * (g[j + 1] + 1)
+    steps = []
+    for j, (s, e) in enumerate(zip(strides, g)):
+        # the cells with a_j >= 2q are those whose cell q * stride_j lower
+        # has a_j >= q, unwrapped
+        mask = _block_mask([int(i == j) for i in range(len(g))], g, strides)
+        row, q = [(s, mask)], 1
+        while 2 * q <= e:
+            mask &= mask << q * s
+            q *= 2
+            row.append((q * s, mask))
+        steps.append(tuple(row))
+    return tuple(strides), tuple(steps)
+
+
+def _box_pass(gens, used, volume, n, field, deadline) -> set[int]:
+    """The indices i with H_i nonzero in some slice, from the element
+    matching run on every cell of the rank box at once (see the module
+    docstring).  used lists the nonzero fields, those of the axes a
+    generator uses, and the box has volume cells.  Lattice points whose
+    critical cells lie in adjacent degrees go through _present_mask and
+    homology_profile one at a time."""
+    check_deadline(deadline)
+    g = tuple(f.bit_count() for f in used)
+    k = len(g)
+    strides, steps = (_box_tables if volume <= _CACHED_BOX_CELLS
+                      else _box_tables.__wrapped__)(g)
+    # E: the up-closure of G(I)'s cells minus that of G(J)'s, by doubling
+    # shifts along each axis in turn
+    ups = [0, 0]
+    for side, codes in enumerate(gens):
+        if codes:
+            up = 0
+            for m in codes:
+                up |= 1 << sum((m & f).bit_count() * s for f, s in zip(used, strides))
+            for row in steps:
+                for s, mask in row:
+                    up |= (up << s) & mask
+            ups[side] = up
+    # u[T]: the cells a with a - eps_T in E, T a subset of the used axes;
+    # the subsets with axis j are the ones without it, moved up along j
+    u = [ups[0] & ~ups[1]]
+    for row in steps:
+        s, mask = row[0]
+        u += [(v << s) & mask for v in u]
+    # the element matching, axis by axis in the order homology_profile uses:
+    # axis j pairs u[T] with u[T + 2^j].  Each round pairs on bit 0 of the
+    # index, then rotates the index right by one bit, so that the next axis
+    # is on bit 0; after k rounds every index is back in place.
+    for _ in range(k):
+        check_deadline(deadline)
+        lo, hi = u[0::2], u[1::2]
+        x = [*map(and_, lo, hi)]
+        u = [*map(xor, lo, x), *map(xor, hi, x)]
+    crit = [0] * (k + 1)  # crit[i]: the cells with a critical i-subset
+    for T, cells in enumerate(u):
+        crit[T.bit_count()] |= cells
+    mixed = 0  # cells with critical subsets in adjacent degrees
+    for a, b in zip(crit, crit[1:]):
+        mixed |= a & b
+    nz = {i for i, cells in enumerate(crit) if cells & ~mixed}
+    if not mixed:
+        return nz
+    tops = sum(1 << f.bit_length() >> 1 for f in used)
+    lows = [f & -f for f in used]
+    cache: dict[int, tuple[int, ...]] = {}
+    digits = bin(mixed)[:1:-1]  # digit i is cell i's bit
+    cell = digits.find("1")
+    count = 0
+    while cell >= 0:
+        count += 1
+        if not count % 512:
+            check_deadline(deadline)
+        c = sum(low * ((1 << cell // s % (e + 1)) - 1)
+                for low, s, e in zip(lows, strides, g))
+        # off both lcm lattices the slice has no homology
+        if any(reduce(or_, [m for m in codes if m | c == c], 0) == c for codes in gens):
+            support, pm = _present_mask(c, tops, gens)
+            if pm not in cache:
+                _fold(cache, nz, n, support, pm, field)
+        cell = digits.find("1", cell + 1)
+    return nz
+
+
+def depth(F: Factor, field: FieldChoice = Rationals(), *,
+          box_cap: int = DEFAULT_BOX_CAP, deadline: float | None = None,
+          trace=None) -> int:
+    """depth of I/J: n minus the top nonvanishing Koszul homology index.
+
+    An untraced call runs the box pass over F's rank box when its bitsets
+    fit _BOX_PASS_BITS and it costs less than the lattice may, and the
+    lcm-lattice scan otherwise (see the module docstring).  trace, if given,
+    is called with (multidegree, present-subset count, homology dims) for
+    every lattice slice with a present subset, so a traced call always scans
+    the lattice.  The homology profile is checked to be gap-free before
+    returning.  F is read only through its rank coding, so factors that
+    share it share the depth; invariance.check_forms keeps the memo that
+    reuses it.
+    """
+    box_volume(F.join_exponents(), box_cap, "Koszul box")
+    gens, _, fields, decode = _rank_coding(F)
+    n = F.n
+    used = [f for f in fields if f]
+    k, volume = len(used), math.prod(f.bit_count() + 1 for f in used)
+    gi, gj = map(len, gens)
+    points = min(volume, (1 << gi) + (1 << gj))  # bounds the lattice points
+    # costs in lattice tests (a generator at a point), fitted on random and
+    # Veronese factors: a point costs its generators plus about 32, and the
+    # box pass makes (k + 1) 2^k bitset operations of (volume + 2048) / 4096
+    if (trace is None and volume << k <= _BOX_PASS_BITS
+            and (k + 1) * (volume + 2048) << k <= 4096 * points * (gi + gj + 32)):
+        nz = _box_pass(gens, used, volume, n, field, deadline)
+    else:
+        nz = _lattice_scan(gens, fields, decode, n, field, deadline, trace)
     if not nz:
         raise RuntimeError("internal error: no nonzero Koszul homology found")
     q = max(nz)

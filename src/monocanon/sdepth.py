@@ -75,7 +75,8 @@ def rho(b, g) -> int:
 
 
 def _block_mask(lo, hi, strides) -> int:
-    """Box-cell mask of the sub-box [lo, hi] of a box with the given strides.
+    """Box-cell mask of the sub-box [lo, hi] of a box with the given strides;
+    0 when lo_j > hi_j on some axis.
 
     One run of ones on the last axis is copied hi_j - lo_j + 1 times,
     strides[j] apart, for each earlier axis j.  The block being copied is
@@ -84,9 +85,14 @@ def _block_mask(lo, hi, strides) -> int:
     geometric series sum_k 2^(k s) instead is long division, about 0.1 s per
     block on a 4M-cell box.
     """
-    block = (1 << (hi[-1] - lo[-1] + 1)) - 1
+    w = hi[-1] - lo[-1] + 1
+    if w <= 0:
+        return 0
+    block = (1 << w) - 1
     for j in range(len(strides) - 2, -1, -1):
         c = hi[j] - lo[j] + 1
+        if c <= 0:
+            return 0
         if c > 1:
             s = strides[j]
             copies, done, k = 0, 0, 1  # block holds k copies; done are placed

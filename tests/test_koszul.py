@@ -1,5 +1,6 @@
 """Exact linear algebra, Koszul slices, and depth."""
 
+import math
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -236,6 +237,10 @@ def _dense_profile(k, mask, rank):
     return tuple(len(by_size[i]) - ranks[i] - ranks[i + 1] for i in range(k + 1))
 
 
+def _ignore(*record):
+    """A trace callback that keeps nothing: it sends depth to the lattice scan."""
+
+
 def _closure(k, facets):
     """Bitmask over subset bitmasks of k axes: every face of the facets."""
     return sum(1 << s for s in range(1 << k) if any(s | f == f for f in facets))
@@ -307,15 +312,26 @@ class TestMorseReadOff:
         assert layer == tuple(sum(1 << S for S in subsets if S.bit_count() == i)
                               for i in range(k + 1))
 
-    @pytest.mark.parametrize("field", [Rationals(), PrimeField(32003)], ids=str)
-    @pytest.mark.parametrize("n, k, value", [(8, 1, 1), (8, 4, 4), (9, 4, 4), (9, 3, 3),
-                                             (12, 1, 1)])
-    def test_ladder_needs_no_rank(self, n, k, value, field, monkeypatch):
+    LADDER = [(8, 1, 1), (8, 4, 4), (9, 4, 4), (9, 3, 3), (12, 1, 1)]
+
+    @staticmethod
+    def _no_rank(n, k, value, field, trace, monkeypatch):
         def no_rank(*args):
             raise AssertionError("a slice was ranked")
 
         monkeypatch.setattr(koszul, "_rank_sparse", no_rank)
-        assert depth(_veronese(n, k), field, deadline=time.monotonic() + 30.0) == value
+        assert depth(_veronese(n, k), field, deadline=time.monotonic() + 30.0,
+                     trace=trace) == value
+
+    @pytest.mark.parametrize("field", [Rationals(), PrimeField(32003)], ids=str)
+    @pytest.mark.parametrize("n, k, value", LADDER)
+    def test_ladder_needs_no_rank(self, n, k, value, field, monkeypatch):
+        self._no_rank(n, k, value, field, None, monkeypatch)  # the box pass
+
+    @pytest.mark.parametrize("field", [Rationals(), PrimeField(32003)], ids=str)
+    @pytest.mark.parametrize("n, k, value", LADDER)
+    def test_traced_ladder_needs_no_rank(self, n, k, value, field, monkeypatch):
+        self._no_rank(n, k, value, field, _ignore, monkeypatch)  # the lattice scan
 
     def test_projective_plane_reaches_the_fallback(self, monkeypatch):
         calls = []
@@ -453,9 +469,8 @@ class TestDepth:
         with pytest.raises(BoxCapError, match="Koszul box"):
             depth(F, box_cap=63)
 
-    def test_one_profile_per_support_shape(self, monkeypatch):
-        # m_8 has 255 lattice points but only 8 support sizes, each with the
-        # same family of subsets: all but the whole support
+    @staticmethod
+    def _profiles_of_m8(trace, monkeypatch) -> int:
         calls = []
         real = koszul.homology_profile
 
@@ -464,8 +479,18 @@ class TestDepth:
             return real(*args)
 
         monkeypatch.setattr(koszul, "homology_profile", counted)
-        assert depth(_veronese(8, 1)) == 1
-        assert len(calls) <= 8
+        assert depth(_veronese(8, 1), trace=trace) == 1
+        return len(calls)
+
+    def test_one_profile_per_support_shape(self, monkeypatch):
+        # m_8 has 255 lattice points but only 8 support sizes, each with the
+        # same family of subsets: all but the whole support.  The box pass
+        # reads every slice off the matching and computes no profile.
+        assert self._profiles_of_m8(None, monkeypatch) == 0
+
+    def test_traced_one_profile_per_support_shape(self, monkeypatch):
+        # the lattice scan computes one profile per family
+        assert self._profiles_of_m8(_ignore, monkeypatch) <= 8
 
     @given(helpers.factors(nmax=3, emax=2))
     def test_matches_full_box_oracle(self, F):
@@ -474,3 +499,116 @@ class TestDepth:
     @given(helpers.factors(nmax=3, emax=2))
     def test_field_independence_property(self, F):
         assert depth(F) == depth(F, PrimeField(32003))
+
+
+def _rp2_factor():
+    """K[RP2] as (1) / (the non-faces), a factor in six variables."""
+    non_faces = [S for S in combinations(range(6), 3) if S not in RP2]
+    return Factor(MonomialIdeal(6, [(0,) * 6]),
+                  MonomialIdeal(6, [tuple(int(j in S) for j in range(6))
+                                    for S in non_faces]))
+
+
+def _box_depth(F, field):
+    """depth from the box pass alone, whichever pass depth would take."""
+    gens, _, fields, _ = _rank_coding(F)
+    used = [f for f in fields if f]
+    volume = math.prod(f.bit_count() + 1 for f in used)
+    return F.n - max(koszul._box_pass(gens, used, volume, F.n, field, None))
+
+
+class TestBoxPass:
+    """Untraced depth runs the element matching on the whole rank box when
+    its bitsets fit koszul._BOX_PASS_BITS and it costs less than the lattice
+    can; traced calls, larger boxes and sparse ones scan the lcm lattice."""
+
+    @staticmethod
+    def _only(monkeypatch, path):
+        # make the other path fail, so that a test pins the one it names
+        other = "_lattice_scan" if path == "box" else "_box_pass"
+
+        def refuse(*args):
+            raise AssertionError(f"depth took {other}")
+
+        monkeypatch.setattr(koszul, other, refuse)
+
+    @pytest.mark.parametrize("field", [Rationals(), PrimeField(2), PrimeField(32003)],
+                             ids=str)
+    @given(F=helpers.factors(nmax=3, emax=2))
+    def test_matches_lattice_scan_and_oracle(self, field, F):
+        # no slice on at most 3 axes has torsion, so the oracle's rational
+        # ranks give the depth over every field
+        assert (depth(F, field) == _box_depth(F, field) == depth(F, field, trace=_ignore)
+                == oracle.oracle_depth(F))
+
+    @pytest.mark.parametrize("field", [Rationals(), PrimeField(2)], ids=str)
+    @given(F=helpers.factors(nmin=4, nmax=6, emax=2))
+    def test_matches_lattice_scan_on_more_axes(self, field, F):
+        assert depth(F, field) == _box_depth(F, field) == depth(F, field, trace=_ignore)
+
+    def test_projective_plane_reaches_the_fallback(self, monkeypatch):
+        # the slice at (1, ..., 1) is RP2 with its empty face: its critical
+        # cells lie in adjacent degrees, so its cell is ranked one at a time
+        self._only(monkeypatch, "box")
+        calls = []
+        real = koszul.homology_profile
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(koszul, "homology_profile", counted)
+        assert depth(_rp2_factor(), PrimeField(2)) == 2
+        assert calls
+        assert depth(_rp2_factor()) == 3
+
+    def test_fallback_keeps_the_boundary_composition_check(self, monkeypatch):
+        self._only(monkeypatch, "box")
+        monkeypatch.setattr(koszul, "_matmul_is_zero", lambda A, B: False)
+        with pytest.raises(RuntimeError, match="boundary composition"):
+            depth(_rp2_factor(), PrimeField(2))
+
+    def test_sparse_many_variables_take_the_lattice(self, monkeypatch):
+        # three generators on disjoint supports covering 20 variables: a
+        # complete intersection of height 3, so depth I = 20 - 3 + 1.  The
+        # rank box has 2^20 cells; its lcm lattice has 7 points.
+        self._only(monkeypatch, "lattice")
+        blocks = [range(0, 7), range(7, 14), range(14, 20)]
+        F = Factor(MonomialIdeal(20, [tuple(int(j in b) for j in range(20))
+                                      for b in blocks]))
+        assert depth(F, deadline=time.monotonic() + 2.0) == 18
+
+    def test_few_generators_in_a_large_box_take_the_lattice(self, monkeypatch):
+        # two generators with three exponents on each of 7 axes: a 3^7-cell
+        # box, 2^7 bitsets, against a lattice of 3 points
+        F = Factor(MonomialIdeal(7, [(1, 2, 3, 1, 2, 3, 1), (3, 1, 2, 3, 1, 2, 3)]))
+        expected = _box_depth(F, Rationals())
+        self._only(monkeypatch, "lattice")
+        assert depth(F) == expected
+
+    def test_thirteen_variables_fit_the_box(self, monkeypatch):
+        # V(13, 6): 2^13 subsets of a 2^13-cell box are 2^26 bits, the
+        # bound; the lattice scan of its 1716 generators takes seconds
+        self._only(monkeypatch, "box")
+        assert depth(_veronese(13, 6), PrimeField(32003),
+                     deadline=time.monotonic() + 5.0) == 6
+
+    def test_unused_variable(self):
+        # z divides no generator: a regular element, which adds one to the
+        # depth; its axis has rank 0 and the box pass leaves it out
+        F = fac("x, y, z", "x*y, y^2", "x^2*y^2")
+        assert F.types()[2] == ()
+        expected = oracle.oracle_depth(F)
+        assert depth(F) == depth(F, trace=_ignore) == expected
+        assert depth(fac("x, y", "x*y, y^2", "x^2*y^2")) + 1 == expected
+
+    def test_box_tables_cache_is_bounded(self, monkeypatch):
+        # the 301 generators x^i y^(300 - i) of m^300: a 301 x 301 rank box,
+        # too large for the table cache, and an lcm lattice of 45,451 points
+        self._only(monkeypatch, "box")
+        koszul._box_tables.cache_clear()
+        F = Factor(MonomialIdeal(2, [(i, 300 - i) for i in range(301)]))
+        assert depth(F, deadline=time.monotonic() + 5.0) == 1
+        assert koszul._box_tables.cache_info().currsize == 0
+        assert depth(fac("x, y", "x^2, y^3")) == 1
+        assert koszul._box_tables.cache_info()[2:] == (256, 1)  # maxsize, currsize

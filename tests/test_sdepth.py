@@ -145,6 +145,13 @@ class TestCharPoset:
         )
         assert _block_mask(a, b, P.strides) == expected
 
+    def test_empty_range_gives_an_empty_mask(self):
+        # the box [0, (1, 0, 1)], strides (2, 2, 1): no cell has a_1 >= 1
+        assert _block_mask((0, 1, 0), (1, 0, 1), (2, 2, 1)) == 0
+        assert _block_mask((1, 0, 0), (0, 0, 1), (2, 2, 1)) == 0
+        assert _block_mask((0, 0, 2), (1, 0, 1), (2, 2, 1)) == 0
+        assert _block_mask((0, 0, 1), (1, 0, 1), (2, 2, 1)) == 0b1010
+
 
 def brute_force_rows(F) -> set:
     """Rows from the definition, as (a, b, rho(b), {j : b_j = g_j}, cells):
